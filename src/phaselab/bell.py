@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, require_keys
 from .marginal import Marginal2D, QuartetProblem
 
 __all__ = [
@@ -107,7 +107,9 @@ class BellWitness:
 
     @classmethod
     def from_json(cls, obj) -> "BellWitness":
-        return cls(**{k: Region.from_json(obj[k]) for k in ("S1", "S2", "S1p", "S2p")})
+        keys = ("S1", "S2", "S1p", "S2p")
+        require_keys(obj, keys, "witness")
+        return cls(**{k: Region.from_json(obj[k]) for k in keys})
 
 
 def _plane_term(m: Marginal2D, reg_a: Region, reg_b: Region, negate: bool) -> float:

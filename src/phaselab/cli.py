@@ -85,6 +85,15 @@ def _load_json(path: str) -> dict:
         raise click.UsageError(f"cannot read JSON from {path}: {exc}") from exc
 
 
+def _load_quartet(path: str) -> QuartetProblem:
+    """A quartet file, bare or in the ``{"quartet": ...}`` envelope that
+    ``quartet from-psi`` writes."""
+    obj = _load_json(path)
+    if isinstance(obj, dict) and "quartet" in obj:
+        obj = obj["quartet"]
+    return QuartetProblem.from_json(obj)
+
+
 def _profile_from_options(kind: str, eps: float, L: float) -> HProfile:
     if kind in ("inv1", "inverse_q_plus_one"):
         return HProfile.inverse_q_plus_one()
@@ -130,7 +139,7 @@ def bell_eval(quartet_path, witness_path, tol, relative_tol, out):
     with code 2 (the functional is only meaningful for marginals that
     could share a joint).
     """
-    quartet = QuartetProblem.from_json(_load_json(quartet_path))
+    quartet = _load_quartet(quartet_path)
     witness = BellWitness.from_json(_load_json(witness_path))
     report = consistency_check(quartet, tol=tol, relative=relative_tol)
     b = bell_sum(quartet, witness)
@@ -335,7 +344,7 @@ def quartet_from_psi(kind, eps, big_l, rho, theta, shift, boost, sign, preset,
 @click.option("--out", type=click.Path(), default=None)
 def demo_cmd(quartet_path, tol, out):
     """Reconstruct all 3-subsets of a quartet and test the 4-set."""
-    q = QuartetProblem.from_json(_load_json(quartet_path))
+    q = _load_quartet(quartet_path)
     _emit(three_marginal_demo(q, tol=tol), out)
 
 

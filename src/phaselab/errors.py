@@ -27,3 +27,13 @@ class NumericalError(PhaselabError):
     """Quadrature or eigensolver failure."""
 
     exit_code = 3
+
+
+def require_keys(obj, keys, what: str) -> None:
+    """Schema guard for ``from_json``: ``obj`` must be a JSON object
+    holding every key in ``keys``."""
+    if not isinstance(obj, dict):
+        raise InvalidInputError(f"{what} JSON must be an object, got {type(obj).__name__}")
+    missing = [k for k in keys if k not in obj]
+    if missing:
+        raise InvalidInputError(f"{what} JSON is missing key(s): {', '.join(missing)}")

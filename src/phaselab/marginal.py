@@ -14,8 +14,8 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from .errors import InvalidInputError
-from .quad import ComplexProfile, Grid1D, fourier_matrix, reciprocal_log_grid
+from .errors import InvalidInputError, require_keys
+from .quad import ComplexProfile, Grid1D, reciprocal_log_grid, transform_rows
 
 if TYPE_CHECKING:
     from .quantum import WaveFunction2
@@ -137,15 +137,17 @@ class Marginal2D:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Marginal2D":
+        require_keys(obj, ("plane",), "marginal")
         try:
             plane = PlaneLabel[obj["plane"]]
-        except KeyError as exc:
+        except (KeyError, TypeError) as exc:
             raise InvalidInputError(f"bad marginal JSON: {exc}") from exc
         if "atoms" in obj:
+            for a in obj["atoms"]:
+                require_keys(a, ("x", "y", "w"), "atom")
             atoms = np.array([[a["x"], a["y"], a["w"]] for a in obj["atoms"]], dtype=float)
             return cls.atomic(plane, atoms)
-        if not {"grid1", "grid2", "values"} <= obj.keys():
-            raise InvalidInputError("gridded marginal JSON needs grid1, grid2, values")
+        require_keys(obj, ("grid1", "grid2", "values"), "gridded marginal")
         return cls(plane, Grid1D.from_json(obj["grid1"]), Grid1D.from_json(obj["grid2"]),
                    np.asarray(obj["values"], dtype=float), None)
 
@@ -175,7 +177,9 @@ class QuartetProblem:
 
     @classmethod
     def from_json(cls, obj: dict) -> "QuartetProblem":
-        return cls(**{k: Marginal2D.from_json(obj[k]) for k in ("R", "S", "T", "U")})
+        keys = ("R", "S", "T", "U")
+        require_keys(obj, keys, "quartet")
+        return cls(**{k: Marginal2D.from_json(obj[k]) for k in keys})
 
 
 @dataclass(frozen=True)
@@ -212,7 +216,9 @@ class TripletProblem:
 
     @classmethod
     def from_json(cls, obj: dict) -> "TripletProblem":
-        return cls(**{k: Marginal2D.from_json(obj[k]) for k in ("sigma0", "sigma1", "sigma2")})
+        keys = ("sigma0", "sigma1", "sigma2")
+        require_keys(obj, keys, "triplet")
+        return cls(**{k: Marginal2D.from_json(obj[k]) for k in keys})
 
     @classmethod
     def from_quartet(cls, quartet: QuartetProblem) -> "TripletProblem":
@@ -315,8 +321,12 @@ def quantum_marginals(
 
     R is the position density |psi|^2; S, T, U replace one or both axes
     by the partial Fourier transform, applied factor by factor.  Each
-    gridded marginal is normalized onto its grid; the raw quadrature
-    masses are available via the returned marginals' diagnostics.
+    gridded marginal is normalized onto its grid, so the raw quadrature
+    masses (and the transform-mass defect they carry) are divided away
+    and not returned.  The factor transforms go through
+    :func:`~phaselab.quad.transform_rows`, which caches them by content:
+    states that differ only in their term coefficients, as along a
+    (rho, theta) scan, transform their factors once.
     """
     nrm = psi.norm_sq()
     if abs(nrm - 1.0) > norm_tol:
@@ -329,22 +339,14 @@ def quantum_marginals(
         p2_grid = psi.p2_grid or reciprocal_log_grid(g2, n_target=len(g2))
 
     # per-axis carriers are common across terms (enforced by WaveFunction2),
-    # so the position densities may use the stored values directly and the
-    # transform matrix is shared across a whole axis
+    # so the position densities may use the stored values directly and one
+    # transform serves a whole axis
     a = np.stack([t.factor1.values for t in psi.terms])      # (n_terms, n1)
     b = np.stack([t.factor2.values for t in psi.terms])      # (n_terms, n2)
     coef = np.array([t.coefficient for t in psi.terms])
 
-    def axis_transform(values, grid, carrier, p_grid):
-        if carrier != 0.0:
-            eval_grid = Grid1D(p_grid.nodes - carrier, p_grid.weights)
-        else:
-            eval_grid = p_grid
-        M = fourier_matrix(grid, eval_grid, -1)
-        return values @ M.T
-
-    at = axis_transform(a, g1, psi.terms[0].factor1.carrier, p1_grid)
-    bt = axis_transform(b, g2, psi.terms[0].factor2.carrier, p2_grid)
+    at = transform_rows(a, g1, psi.terms[0].factor1.carrier, p1_grid)
+    bt = transform_rows(b, g2, psi.terms[0].factor2.carrier, p2_grid)
 
     def density(u, v):
         amp = np.einsum("k,ki,kj->ij", coef, u, v, optimize=True)

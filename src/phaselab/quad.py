@@ -15,6 +15,8 @@ the inverse.
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Optional, Sequence
@@ -22,7 +24,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 from scipy.special import spherical_jn
 
-from .errors import InvalidInputError, NumericalError
+from .errors import InvalidInputError, NumericalError, require_keys
 
 __all__ = [
     "Grid1D",
@@ -33,6 +35,7 @@ __all__ = [
     "pv_integrate",
     "fourier",
     "fourier_matrix",
+    "transform_rows",
     "symmetric_log_grid",
     "reciprocal_log_grid",
 ]
@@ -76,11 +79,14 @@ class Grid1D:
         return float(self.nodes[0]), float(self.nodes[-1])
 
     def same_as(self, other: "Grid1D", tol: float = 0.0) -> bool:
+        """Same nodes and weights: exactly, or to ``tol`` in absolute value."""
         if len(self) != len(other):
             return False
         if tol == 0.0:
-            return bool(np.array_equal(self.nodes, other.nodes))
-        return bool(np.allclose(self.nodes, other.nodes, atol=tol, rtol=0))
+            return bool(np.array_equal(self.nodes, other.nodes)
+                        and np.array_equal(self.weights, other.weights))
+        return bool(np.allclose(self.nodes, other.nodes, atol=tol, rtol=0)
+                    and np.allclose(self.weights, other.weights, atol=tol, rtol=0))
 
     def to_json(self) -> dict:
         out = {"nodes": self.nodes.tolist(), "weights": self.weights.tolist()}
@@ -91,6 +97,7 @@ class Grid1D:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Grid1D":
+        require_keys(obj, ("nodes", "weights"), "grid")
         edges = obj.get("panel_edges")
         return cls(
             np.asarray(obj["nodes"], dtype=float),
@@ -383,6 +390,57 @@ def fourier_matrix(q_grid: Grid1D, p_grid: Grid1D, sign: int = -1) -> np.ndarray
     return M.reshape(len(p), -1) / np.sqrt(2 * np.pi)
 
 
+# Transformed factor rows, keyed by content (see transform_rows).  One entry
+# of 2 rows on a 2064-node momentum grid is 66 KB; a whole transform matrix
+# would be 7.75 MiB, so rows are kept and matrices are not.
+_TRANSFORM_CACHE_SIZE = 8
+_transform_cache: "OrderedDict[tuple, np.ndarray]" = OrderedDict()
+_transform_lock = threading.Lock()
+
+
+def _eval_grid(p_grid: Grid1D, carrier: float, sign: int) -> Grid1D:
+    # e^{i s p q} e^{i c q} = e^{i s (p + s c) q}: a carrier is a frequency shift
+    if carrier != 0.0:
+        return Grid1D(p_grid.nodes + sign * carrier, p_grid.weights)
+    return p_grid
+
+
+def _transform_key(values: np.ndarray, q_grid: Grid1D, carrier: float,
+                   p_grid: Grid1D, sign: int) -> tuple:
+    if q_grid.panel_edges is not None:
+        q_key = (q_grid.panel_edges.tobytes(), int(q_grid.panel_order))
+    else:
+        q_key = (q_grid.nodes.tobytes(), q_grid.weights.tobytes())
+    return (values.shape, values.tobytes(), q_key,
+            np.float64(carrier).tobytes(), p_grid.nodes.tobytes(), int(sign))
+
+
+def transform_rows(values, q_grid: Grid1D, carrier: float, p_grid: Grid1D,
+                   sign: int = -1) -> np.ndarray:
+    """Fourier transform of each row of ``values`` (n_terms, len(q_grid)),
+    carrier included, onto ``p_grid``: ``values @ fourier_matrix(...).T``.
+
+    Results are cached by the content of every input (factor rows, q-grid
+    panels, carrier, p nodes, sign), never by object identity, so a scan
+    that rebuilds the same factors transforms them once.  The cache keeps
+    the last few results; the arrays it returns are read-only.
+    """
+    values = np.ascontiguousarray(values, dtype=complex)
+    key = _transform_key(values, q_grid, carrier, p_grid, sign)
+    with _transform_lock:
+        rows = _transform_cache.get(key)
+        if rows is not None:
+            _transform_cache.move_to_end(key)
+            return rows
+    rows = values @ fourier_matrix(q_grid, _eval_grid(p_grid, carrier, sign), sign).T
+    rows.setflags(write=False)
+    with _transform_lock:
+        _transform_cache[key] = rows
+        while len(_transform_cache) > _TRANSFORM_CACHE_SIZE:
+            _transform_cache.popitem(last=False)
+    return rows
+
+
 def fourier(psi: ComplexProfile, p_grid: Grid1D, sign: int = -1) -> ComplexProfile:
     """Quadrature Fourier transform of a profile onto a momentum grid.
 
@@ -391,9 +449,5 @@ def fourier(psi: ComplexProfile, p_grid: Grid1D, sign: int = -1) -> ComplexProfi
     """
     if len(psi.grid) == 0 or len(p_grid) == 0:
         raise InvalidInputError("empty grid")
-    if psi.carrier != 0.0:
-        eval_grid = Grid1D(p_grid.nodes + sign * psi.carrier, p_grid.weights)
-        M = fourier_matrix(psi.grid, eval_grid, sign)
-    else:
-        M = fourier_matrix(psi.grid, p_grid, sign)
+    M = fourier_matrix(psi.grid, _eval_grid(p_grid, psi.carrier, sign), sign)
     return ComplexProfile(p_grid, M @ psi.values)

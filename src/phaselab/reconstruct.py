@@ -27,7 +27,7 @@ import numpy as np
 
 from . import _kernels
 from .bell import BellWitness, bell_sum
-from .errors import ConsistencyError, InvalidInputError
+from .errors import ConsistencyError, InvalidInputError, require_keys
 from .marginal import (
     Marginal2D,
     PlaneLabel,
@@ -214,6 +214,7 @@ class Dense4D:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Dense4D":
+        require_keys(obj, ("grids", "values"), "dense")
         grids = tuple(Grid1D.from_json(g) for g in obj["grids"])
         return cls(grids, np.asarray(obj["values"], dtype=float))
 

@@ -100,7 +100,8 @@ def artifacts(tmp_path_factory):
         "sigma0": payload["quartet"]["R"],
         "sigma1": payload["quartet"]["T"],
         "sigma2": payload["quartet"]["U"]}))
-    return {"tmp": tmp, "quartet": quartet_path, "triplet": triplet_path}
+    return {"tmp": tmp, "from_psi": qout, "quartet": quartet_path,
+            "triplet": triplet_path}
 
 
 class TestQuartetReconstructDemo:
@@ -121,6 +122,23 @@ class TestQuartetReconstructDemo:
         payload = read_json(out)
         assert payload["four_set"]["bell_sum"] > 2.0
         assert len(payload["subsets"]) == 4
+
+    def test_demo_accepts_from_psi_envelope(self, artifacts):
+        bare, wrapped = artifacts["tmp"] / "bare.json", artifacts["tmp"] / "wrapped.json"
+        assert run(["demo", "--quartet", str(artifacts["quartet"]),
+                    "--tol", "0.05", "--out", str(bare)]) == 0
+        assert run(["demo", "--quartet", str(artifacts["from_psi"]),
+                    "--tol", "0.05", "--out", str(wrapped)]) == 0
+        assert bare.read_bytes() == wrapped.read_bytes()
+
+    def test_bell_eval_accepts_from_psi_envelope(self, artifacts):
+        wpath = artifacts["tmp"] / "witness.json"
+        wpath.write_text(json.dumps(read_json(artifacts["from_psi"])["witness"]))
+        out = artifacts["tmp"] / "eval.json"
+        assert run(["bell", "eval", "--quartet", str(artifacts["from_psi"]),
+                    "--witness", str(wpath), "--relative-tol", "--tol", "0.05",
+                    "--out", str(out)]) == 0
+        assert read_json(out)["bell_sum"] > 2.0
 
     def test_demo_inconsistent_exit_code(self, artifacts):
         code = run(["demo", "--quartet", str(artifacts["quartet"]),
@@ -160,6 +178,50 @@ class TestUnknownInput:
     def test_missing_file(self):
         assert run(["bell", "eval", "--quartet", "/nonexistent.json",
                     "--witness", "/nonexistent2.json"]) in (1, 2)
+
+
+WITNESS = {"S1": [[0.0, None]], "S2": [[0.0, None]],
+           "S1p": [[0.0, None]], "S2p": [[0.0, None]]}
+
+
+class TestSchemaErrors:
+    """A file missing a required key exits 1 with the key named, not with
+    a traceback."""
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        paths = {}
+        for name, obj in (("empty", {}), ("envelope", {"quartet": {}}),
+                          ("witness", WITNESS)):
+            paths[name] = tmp_path / f"{name}.json"
+            paths[name].write_text(json.dumps(obj))
+        return paths
+
+    @pytest.mark.parametrize("quartet", ["empty", "envelope"])
+    def test_demo(self, files, quartet, capsys):
+        assert run(["demo", "--quartet", str(files[quartet])]) == 1
+        assert "R" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("quartet", ["empty", "envelope"])
+    def test_bell_eval_quartet(self, files, quartet):
+        assert run(["bell", "eval", "--quartet", str(files[quartet]),
+                    "--witness", str(files["witness"])]) == 1
+
+    def test_bell_eval_witness(self, tmp_path, files, capsys):
+        cjson = tmp_path / "c.json"
+        assert run(["bell", "counterexample", "--out", str(cjson)]) == 0
+        qpath = tmp_path / "q.json"
+        qpath.write_text(json.dumps(read_json(cjson)["atoms"]))
+        assert run(["bell", "eval", "--quartet", str(qpath),
+                    "--witness", str(files["empty"])]) == 1
+        assert "S1" in capsys.readouterr().err
+
+    def test_reconstruct_triplet_and_F(self, artifacts, files, capsys):
+        assert run(["reconstruct", "--triplet", str(files["empty"])]) == 1
+        assert "sigma0" in capsys.readouterr().err
+        assert run(["reconstruct", "--triplet", str(artifacts["triplet"]),
+                    "--F", str(files["empty"])]) == 1
+        assert "grids" in capsys.readouterr().err
 
 
 class TestReconstructWithF:

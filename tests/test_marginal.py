@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from phaselab import quad
 from phaselab.errors import InvalidInputError
 from phaselab.marginal import (
     Marginal2D,
@@ -12,7 +13,7 @@ from phaselab.marginal import (
     one_var_marginal,
     quantum_marginals,
 )
-from phaselab.quad import ComplexProfile, build_panels
+from phaselab.quad import ComplexProfile, build_panels, fourier_matrix
 from phaselab.quantum import HProfile, Term, ViolationParams, WaveFunction2, build_psi
 
 
@@ -199,3 +200,66 @@ class TestJsonRoundtrip:
     def test_bad_schema(self):
         with pytest.raises(InvalidInputError):
             Marginal2D.from_json({"plane": "XX", "atoms": []})
+
+    @pytest.mark.parametrize("cls, key", [(QuartetProblem, "R"), (TripletProblem, "sigma0")])
+    def test_missing_key_is_named(self, cls, key):
+        with pytest.raises(InvalidInputError, match=key):
+            cls.from_json({})
+
+    def test_missing_marginal_keys_are_named(self):
+        with pytest.raises(InvalidInputError, match="plane"):
+            Marginal2D.from_json({})
+        with pytest.raises(InvalidInputError, match="grid2"):
+            Marginal2D.from_json({"plane": "QQ", "grid1": {}, "values": []})
+        with pytest.raises(InvalidInputError, match="w"):
+            Marginal2D.from_json({"plane": "PP", "atoms": [{"x": 1.0, "y": 1.0}]})
+
+
+def _planes(quartet):
+    return [getattr(quartet, k).values for k in ("R", "S", "T", "U")]
+
+
+def _cold_planes(params, n_target):
+    """The state's marginals computed with the transform cache emptied."""
+    quad._transform_cache.clear()
+    return _planes(quantum_marginals(build_psi(params, n_target=n_target)))
+
+
+class TestTransformCache:
+    H = HProfile.cutoff_sqrt(1e-2, 1e2)
+
+    def teardown_method(self):
+        quad._transform_cache.clear()
+
+    def test_scan_matches_cold_computation(self, monkeypatch):
+        lattice = [(0.5, -2.0), (1.0, 0.3), (1.7, 1.1), (1.0, 0.3), (2.0, 2.3)]
+        quad._transform_cache.clear()
+        calls = []
+        monkeypatch.setattr(quad, "fourier_matrix", lambda *a, **k: calls.append(a)
+                            or fourier_matrix(*a, **k))
+        warm = [_planes(quantum_marginals(build_psi(
+            ViolationParams(h=self.H, rho=rho, theta=theta), n_target=64)))
+            for rho, theta in lattice]
+        # shift = boost = 0: both axes and every point share one transform
+        assert len(calls) == 1
+        for (rho, theta), got in zip(lattice, warm):
+            want = _cold_planes(ViolationParams(h=self.H, rho=rho, theta=theta), 64)
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+    def test_distinct_states_never_share_an_entry(self):
+        states = [
+            (ViolationParams(h=self.H, rho=1.2, theta=0.4), 64),
+            (ViolationParams(h=self.H, rho=1.2, theta=0.4, shift=0.3), 64),
+            (ViolationParams(h=self.H, rho=1.2, theta=0.4, boost=0.2), 64),
+            (ViolationParams(h=self.H, rho=1.2, theta=0.4, shift=-0.3, boost=-0.2), 64),
+            (ViolationParams(h=self.H, rho=1.2, theta=0.4), 96),
+            (ViolationParams(h=HProfile.cutoff_sqrt(1e-3, 1e3), rho=1.2, theta=0.4), 64),
+            (ViolationParams(h=HProfile.inverse_q_plus_one(), rho=1.2, theta=0.4), 64),
+        ]
+        quad._transform_cache.clear()
+        warm = [_planes(quantum_marginals(build_psi(p, n_target=n))) for p, n in states]
+        # run them again with every other state's entries in the cache
+        warm += [_planes(quantum_marginals(build_psi(p, n_target=n))) for p, n in states]
+        cold = [_cold_planes(p, n) for p, n in states] * 2
+        for got, want in zip(warm, cold):
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from phaselab import quad
 from phaselab.errors import InvalidInputError
 from phaselab.quad import (
     ComplexProfile,
@@ -12,6 +13,7 @@ from phaselab.quad import (
     integrate_values,
     pv_integrate,
     symmetric_log_grid,
+    transform_rows,
 )
 
 
@@ -72,6 +74,17 @@ class TestGrid1D:
         g2 = Grid1D.from_json(g.to_json())
         assert g.same_as(g2)
         assert np.allclose(g.panel_edges, g2.panel_edges)
+
+    def test_same_nodes_different_weights_differ(self):
+        g = build_panels([0.0, 2.0], order=3, subdiv=2)
+        heavier = Grid1D(g.nodes, g.weights * (1 + 1e-9))
+        assert not g.same_as(heavier)
+        assert not g.same_as(heavier, tol=1e-12)
+        assert g.same_as(heavier, tol=1e-6)
+
+    def test_from_json_names_missing_key(self):
+        with pytest.raises(InvalidInputError, match="weights"):
+            Grid1D.from_json({"nodes": [0.0, 1.0]})
 
 
 class TestIntegrate:
@@ -173,3 +186,52 @@ class TestFourier:
     def test_empty_grid_rejected(self):
         with pytest.raises(InvalidInputError):
             Grid1D(np.array([]), np.array([]))
+
+
+class TestTransformRows:
+    def setup_method(self):
+        quad._transform_cache.clear()
+        self.q = build_panels([-8.0, 0.0, 8.0], order=6, subdiv=4)
+        self.p = build_panels([-6.0, 0.0, 6.0], order=6, subdiv=4)
+        rng = np.random.default_rng(3)
+        self.rows = rng.normal(size=(2, len(self.q))) + 1j * rng.normal(size=(2, len(self.q)))
+
+    def teardown_method(self):
+        quad._transform_cache.clear()
+
+    def test_miss_equals_matrix_product(self):
+        got = transform_rows(self.rows, self.q, 0.0, self.p)
+        assert np.array_equal(got, self.rows @ fourier_matrix(self.q, self.p, -1).T)
+
+    def test_carrier_is_a_frequency_shift(self):
+        c = 0.7
+        shifted = Grid1D(self.p.nodes - c, self.p.weights)
+        got = transform_rows(self.rows, self.q, c, self.p)
+        assert np.array_equal(got, self.rows @ fourier_matrix(self.q, shifted, -1).T)
+        # the carrier-free entry is a different one
+        assert not np.array_equal(got, transform_rows(self.rows, self.q, 0.0, self.p))
+
+    def test_hit_is_keyed_by_content_not_identity(self, monkeypatch):
+        first = transform_rows(self.rows, self.q, 0.0, self.p)
+        calls = []
+        monkeypatch.setattr(quad, "fourier_matrix",
+                            lambda *a, **k: calls.append(a) or fourier_matrix(*a, **k))
+        q_copy = Grid1D.from_json(self.q.to_json())
+        again = transform_rows(self.rows.copy(), q_copy, 0.0, Grid1D.from_json(self.p.to_json()))
+        assert calls == [] and again is first
+        transform_rows(self.rows[::-1].copy(), self.q, 0.0, self.p)
+        transform_rows(self.rows, self.q, 0.0, self.p, sign=+1)
+        assert len(calls) == 2
+
+    def test_rows_are_read_only(self):
+        got = transform_rows(self.rows, self.q, 0.0, self.p)
+        assert not got.flags.writeable
+        with pytest.raises(ValueError):
+            got[0, 0] = 0.0
+        assert not transform_rows(self.rows, self.q, 0.0, self.p).flags.writeable
+
+    def test_entry_count_stays_at_cap(self):
+        cap = quad._TRANSFORM_CACHE_SIZE
+        for k in range(cap + 3):
+            transform_rows(self.rows * (k + 1), self.q, 0.0, self.p)
+            assert len(quad._transform_cache) == min(k + 1, cap)
