@@ -392,8 +392,10 @@ def fourier_matrix(q_grid: Grid1D, p_grid: Grid1D, sign: int = -1) -> np.ndarray
 
 # Transformed factor rows, keyed by content (see transform_rows).  One entry
 # of 2 rows on a 2064-node momentum grid is 66 KB; a whole transform matrix
-# would be 7.75 MiB, so rows are kept and matrices are not.
-_TRANSFORM_CACHE_SIZE = 8
+# would be 7.75 MiB, so rows are kept and matrices are not.  A state needs at
+# most two entries, one per axis (one when shift = boost = 0, since the axes
+# then share it), so two entries serve a scan over (rho, theta).
+_TRANSFORM_CACHE_SIZE = 2
 _transform_cache: "OrderedDict[tuple, np.ndarray]" = OrderedDict()
 _transform_lock = threading.Lock()
 
@@ -423,7 +425,8 @@ def transform_rows(values, q_grid: Grid1D, carrier: float, p_grid: Grid1D,
     Results are cached by the content of every input (factor rows, q-grid
     panels, carrier, p nodes, sign), never by object identity, so a scan
     that rebuilds the same factors transforms them once.  The cache keeps
-    the last few results; the arrays it returns are read-only.
+    the last two results, one per axis of a state; the arrays it returns
+    are read-only.
     """
     values = np.ascontiguousarray(values, dtype=complex)
     key = _transform_key(values, q_grid, carrier, p_grid, sign)

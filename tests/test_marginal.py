@@ -258,7 +258,8 @@ class TestTransformCache:
         ]
         quad._transform_cache.clear()
         warm = [_planes(quantum_marginals(build_psi(p, n_target=n))) for p, n in states]
-        # run them again with every other state's entries in the cache
+        # each state is looked up with the previous state's entries cached;
+        # the second round also puts the last state before the first
         warm += [_planes(quantum_marginals(build_psi(p, n_target=n))) for p, n in states]
         cold = [_cold_planes(p, n) for p, n in states] * 2
         for got, want in zip(warm, cold):
