@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InvalidInputError, require_keys
+from .errors import InvalidInputError, json_value, require_keys
 from .marginal import Marginal2D, QuartetProblem
 
 __all__ = [
@@ -109,14 +109,17 @@ class BellWitness:
     def from_json(cls, obj) -> "BellWitness":
         keys = ("S1", "S2", "S1p", "S2p")
         require_keys(obj, keys, "witness")
-        return cls(**{k: Region.from_json(obj[k]) for k in keys})
+        regions = {}
+        for k in keys:
+            with json_value("witness", k):
+                regions[k] = Region.from_json(obj[k])
+        return cls(**regions)
 
 
 def _plane_term(m: Marginal2D, reg_a: Region, reg_b: Region, negate: bool) -> float:
     if m.is_gridded:
-        sa = reg_a.sign(m.grid1.nodes) * m.grid1.weights
-        sb = reg_b.sign(m.grid2.nodes) * m.grid2.weights
-        val = float(sa @ m.values @ sb)
+        val = m.integrate(reg_a.sign(m.grid1.nodes) * m.grid1.weights,
+                          reg_b.sign(m.grid2.nodes) * m.grid2.weights)
     else:
         sa = reg_a.sign(m.atoms[:, 0])
         sb = reg_b.sign(m.atoms[:, 1])

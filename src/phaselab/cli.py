@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__, acceptance
 from .bell import BellWitness, bell_sum, p_expectation_from_quartet
-from .errors import ConsistencyError, PhaselabError
+from .errors import ConsistencyError, InvalidInputError, PhaselabError, require_keys
 from .kop import gamma_cutoff_closed_form, k_spectrum
 from .marginal import (
     QuartetProblem,
@@ -163,7 +163,14 @@ def bell_counterexample(params_path, out):
     defaults = {"a1": 1.0, "a2": 1.0, "a1p": -1.0, "a2p": -1.0,
                 "b1": 1.0, "b2": 1.0, "b1p": -1.0, "b2p": -1.0}
     if params_path:
-        defaults.update(_load_json(params_path))
+        given = _load_json(params_path)
+        require_keys(given, (), "params")
+        for key, val in given.items():
+            if key not in defaults or type(val) not in (int, float):
+                raise InvalidInputError(
+                    f"params JSON key {key!r} must be one of {', '.join(defaults)} "
+                    f"and hold a number")
+        defaults.update(given)
     quartet = counterexample_quartet(**defaults)
     witness = BellWitness.half_lines()
     b = bell_sum(quartet, witness)

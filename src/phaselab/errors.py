@@ -4,6 +4,8 @@ Each class maps to one CLI exit code so scripted callers can distinguish
 bad input from bad data from numerical breakdown.
 """
 
+from contextlib import contextmanager
+
 
 class PhaselabError(Exception):
     """Base class for all package errors."""
@@ -37,3 +39,14 @@ def require_keys(obj, keys, what: str) -> None:
     missing = [k for k in keys if k not in obj]
     if missing:
         raise InvalidInputError(f"{what} JSON is missing key(s): {', '.join(missing)}")
+
+
+@contextmanager
+def json_value(what: str, key: str):
+    """Schema guard for ``from_json``: a value under ``key`` of the wrong
+    type or shape (a ``TypeError`` or ``ValueError`` while converting it)
+    raises :class:`InvalidInputError` naming the key."""
+    try:
+        yield
+    except (TypeError, ValueError) as exc:
+        raise InvalidInputError(f"{what} JSON key {key!r} has a bad value: {exc}") from exc

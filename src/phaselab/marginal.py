@@ -1,9 +1,9 @@
 """Two-variable marginal distributions on the four phase-space planes.
 
-A marginal is either a gridded density on a pair of quadrature grids or a
-finite atomic mixture.  The four planes are labeled by which of position
-and momentum each axis carries: QQ = (q1, q2), QP = (q1, p2),
-PQ = (p1, q2), PP = (p1, p2).
+A marginal is either a gridded density on a pair of quadrature grids,
+held dense or as a product-sum amplitude, or a finite atomic mixture.
+The four planes are labeled by which of position and momentum each axis
+carries: QQ = (q1, q2), QP = (q1, p2), PQ = (p1, q2), PP = (p1, p2).
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from .errors import InvalidInputError, require_keys
+from .errors import InvalidInputError, json_value, require_keys
 from .quad import ComplexProfile, Grid1D, reciprocal_log_grid, transform_rows
 
 if TYPE_CHECKING:
@@ -22,6 +22,7 @@ if TYPE_CHECKING:
 
 __all__ = [
     "PlaneLabel",
+    "ProductSum",
     "Marginal2D",
     "QuartetProblem",
     "TripletProblem",
@@ -48,37 +49,73 @@ class PlaneLabel(Enum):
 
 
 @dataclass(frozen=True)
+class ProductSum:
+    """Product-sum amplitude ``sum_k coef[k] * u[k](x) * v[k](y)`` on the
+    nodes of two axis grids, kept as its coefficients (K,) and its axis-1
+    rows u (K, N1) and axis-2 rows v (K, N2).
+
+    :meth:`density` is the one place the N1 x N2 density
+    ``|sum_k c_k u_k (x) v_k|^2`` is formed; :meth:`form` integrates it
+    against separable node weights without forming it.
+    """
+
+    coef: np.ndarray
+    u: np.ndarray
+    v: np.ndarray
+
+    def __post_init__(self):
+        coef, u, v = np.asarray(self.coef), np.asarray(self.u), np.asarray(self.v)
+        if coef.ndim != 1 or u.ndim != 2 or v.ndim != 2 or not (
+                coef.shape[0] == u.shape[0] == v.shape[0] > 0):
+            raise InvalidInputError("product sum needs coef (K,), u (K, N1), v (K, N2)")
+        object.__setattr__(self, "coef", coef)
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "v", v)
+
+    @classmethod
+    def from_terms(cls, terms) -> "ProductSum":
+        """Position-space amplitude of terms with ``coefficient``,
+        ``factor1`` and ``factor2`` (profiles on shared per-axis grids)."""
+        return cls(np.array([t.coefficient for t in terms]),
+                   np.stack([t.factor1.values for t in terms]),
+                   np.stack([t.factor2.values for t in terms]))
+
+    def density(self) -> np.ndarray:
+        amp = np.einsum("k,ki,kj->ij", self.coef, self.u, self.v, optimize=True)
+        return np.abs(amp) ** 2
+
+    def form(self, wa, wb) -> float:
+        """``wa @ density() @ wb`` as the K x K quadratic form
+        ``c^H (A o B) c`` with Gram matrices ``A = conj(u) diag(wa) u^T``
+        and ``B = conj(v) diag(wb) v^T``: O(K^2 (N1 + N2)) work."""
+        gram_a = (self.u.conj() * wa) @ self.u.T
+        gram_b = (self.v.conj() * wb) @ self.v.T
+        return float((self.coef.conj() @ (gram_a * gram_b) @ self.coef).real)
+
+
 class Marginal2D:
     """Probability distribution on one phase-space plane.
 
-    Exactly one of (``values`` with both grids) or ``atoms`` is set.
-    Atoms are rows ``(x, y, weight)``.
+    Exactly one of ``values`` (a dense density on the two axis grids),
+    ``amplitude`` (a :class:`ProductSum` whose squared modulus, normalized
+    onto the grids, is the density) or ``atoms`` (rows ``(x, y, weight)``)
+    is given.  A product-sum plane stays in that form until ``values`` is
+    read: the dense density is formed and checked then, once, and cached.
+    :meth:`integrate` and :meth:`mass` use the product-sum form whenever
+    it is present, so they never form the dense plane.
     """
 
-    plane: PlaneLabel
-    grid1: Optional[Grid1D] = None
-    grid2: Optional[Grid1D] = None
-    values: Optional[np.ndarray] = None
-    atoms: Optional[np.ndarray] = None
-
-    def __post_init__(self):
-        if (self.values is None) == (self.atoms is None):
-            raise InvalidInputError("marginal must be gridded xor atomic")
-        if self.values is not None:
-            if self.grid1 is None or self.grid2 is None:
-                raise InvalidInputError("gridded marginal needs both axis grids")
-            vals = np.asarray(self.values, dtype=float)
-            object.__setattr__(self, "values", vals)
-            if vals.shape != (len(self.grid1), len(self.grid2)):
-                raise InvalidInputError("values shape must match the axis grids")
-            if vals.min() < -1e-12:
-                raise InvalidInputError("density values must be nonnegative")
-            m = self.mass()
-            if abs(m - 1.0) > GRIDDED_MASS_TOL:
-                raise InvalidInputError(
-                    f"gridded marginal mass {m!r} deviates from 1 beyond {GRIDDED_MASS_TOL}")
-        else:
-            atoms = np.asarray(self.atoms, dtype=float)
+    def __init__(self, plane: PlaneLabel, grid1: Optional[Grid1D] = None,
+                 grid2: Optional[Grid1D] = None, values=None, atoms=None,
+                 amplitude: Optional[ProductSum] = None):
+        if sum(x is not None for x in (values, atoms, amplitude)) != 1:
+            raise InvalidInputError("marginal must be dense, product-sum or atomic")
+        for name, val in (("plane", plane), ("grid1", grid1), ("grid2", grid2),
+                          ("atoms", atoms), ("amplitude", amplitude),
+                          ("_values", None), ("_raw_mass", None)):
+            object.__setattr__(self, name, val)
+        if atoms is not None:
+            atoms = np.asarray(atoms, dtype=float)
             object.__setattr__(self, "atoms", atoms)
             if atoms.ndim != 2 or atoms.shape[1] != 3 or atoms.shape[0] == 0:
                 raise InvalidInputError("atoms must be a nonempty (n, 3) array")
@@ -86,14 +123,63 @@ class Marginal2D:
                 raise InvalidInputError("atom weights must be positive")
             if abs(atoms[:, 2].sum() - 1.0) > ATOMIC_MASS_TOL:
                 raise InvalidInputError("atomic weights must sum to 1")
+            return
+        if grid1 is None or grid2 is None:
+            raise InvalidInputError("gridded marginal needs both axis grids")
+        if amplitude is not None:
+            if (amplitude.u.shape[1], amplitude.v.shape[1]) != (len(grid1), len(grid2)):
+                raise InvalidInputError("product-sum rows must match the axis grids")
+            raw_mass = amplitude.form(grid1.weights, grid2.weights)
+            if not raw_mass > 0:
+                raise InvalidInputError(f"product-sum plane has non-positive mass {raw_mass!r}")
+            object.__setattr__(self, "_raw_mass", raw_mass)
+        else:
+            object.__setattr__(self, "_values", self._checked(values))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Marginal2D is immutable")
+
+    def __repr__(self):
+        kind = ("atomic" if self.atoms is not None else
+                "product-sum" if self.amplitude is not None else "dense")
+        return f"Marginal2D({self.plane.name}, {kind})"
+
+    def _checked(self, values) -> np.ndarray:
+        vals = np.asarray(values, dtype=float)
+        if vals.shape != (len(self.grid1), len(self.grid2)):
+            raise InvalidInputError("values shape must match the axis grids")
+        if vals.min() < -1e-12:
+            raise InvalidInputError("density values must be nonnegative")
+        m = float(self.grid1.weights @ vals @ self.grid2.weights)
+        if abs(m - 1.0) > GRIDDED_MASS_TOL:
+            raise InvalidInputError(
+                f"gridded marginal mass {m!r} deviates from 1 beyond {GRIDDED_MASS_TOL}")
+        return vals
+
+    @property
+    def values(self) -> Optional[np.ndarray]:
+        """Dense density on the grids; formed on first read for a
+        product-sum plane (normalized by its dense quadrature mass)."""
+        if self._values is None and self.amplitude is not None:
+            dens = self.amplitude.density()
+            dens = dens / float(self.grid1.weights @ dens @ self.grid2.weights)
+            object.__setattr__(self, "_values", self._checked(dens))
+        return self._values
 
     @property
     def is_gridded(self) -> bool:
-        return self.values is not None
+        return self.atoms is None
+
+    def integrate(self, w1, w2) -> float:
+        """``w1 @ density @ w2`` for node weights w1, w2 of a gridded plane
+        (include the quadrature weights in them)."""
+        if self.amplitude is not None:
+            return self.amplitude.form(w1, w2) / self._raw_mass
+        return float(w1 @ self.values @ w2)
 
     def mass(self) -> float:
         if self.is_gridded:
-            return float(self.grid1.weights @ self.values @ self.grid2.weights)
+            return self.integrate(self.grid1.weights, self.grid2.weights)
         return float(self.atoms[:, 2].sum())
 
     @classmethod
@@ -143,13 +229,16 @@ class Marginal2D:
         except (KeyError, TypeError) as exc:
             raise InvalidInputError(f"bad marginal JSON: {exc}") from exc
         if "atoms" in obj:
-            for a in obj["atoms"]:
-                require_keys(a, ("x", "y", "w"), "atom")
-            atoms = np.array([[a["x"], a["y"], a["w"]] for a in obj["atoms"]], dtype=float)
+            with json_value("marginal", "atoms"):
+                for a in obj["atoms"]:
+                    require_keys(a, ("x", "y", "w"), "atom")
+                atoms = np.array([[a["x"], a["y"], a["w"]] for a in obj["atoms"]], dtype=float)
             return cls.atomic(plane, atoms)
         require_keys(obj, ("grid1", "grid2", "values"), "gridded marginal")
+        with json_value("marginal", "values"):
+            values = np.asarray(obj["values"], dtype=float)
         return cls(plane, Grid1D.from_json(obj["grid1"]), Grid1D.from_json(obj["grid2"]),
-                   np.asarray(obj["values"], dtype=float), None)
+                   values, None)
 
 
 def _require_plane(m: Marginal2D, plane: PlaneLabel, name: str):
@@ -321,9 +410,13 @@ def quantum_marginals(
 
     R is the position density |psi|^2; S, T, U replace one or both axes
     by the partial Fourier transform, applied factor by factor.  Each
-    gridded marginal is normalized onto its grid, so the raw quadrature
-    masses (and the transform-mass defect they carry) are divided away
-    and not returned.  The factor transforms go through
+    plane is returned in product-sum form (a :class:`ProductSum` of the
+    term coefficients and the position or transformed factor rows) and is
+    normalized onto its grids, so the raw quadrature masses (and the
+    transform-mass defect they carry) are divided away and not returned.
+    No N1 x N2 density is formed until a caller reads a plane's
+    ``values``; the Bell functional and the masses work on the factor
+    rows directly.  The factor transforms go through
     :func:`~phaselab.quad.transform_rows`, which caches them by content:
     states that differ only in their term coefficients, as along a
     (rho, theta) scan, transform their factors once.
@@ -339,24 +432,19 @@ def quantum_marginals(
         p2_grid = psi.p2_grid or reciprocal_log_grid(g2, n_target=len(g2))
 
     # per-axis carriers are common across terms (enforced by WaveFunction2),
-    # so the position densities may use the stored values directly and one
+    # so the position planes may use the stored values directly and one
     # transform serves a whole axis
-    a = np.stack([t.factor1.values for t in psi.terms])      # (n_terms, n1)
-    b = np.stack([t.factor2.values for t in psi.terms])      # (n_terms, n2)
-    coef = np.array([t.coefficient for t in psi.terms])
-
+    pos = ProductSum.from_terms(psi.terms)
+    c, a, b = pos.coef, pos.u, pos.v
     at = transform_rows(a, g1, psi.terms[0].factor1.carrier, p1_grid)
     bt = transform_rows(b, g2, psi.terms[0].factor2.carrier, p2_grid)
 
-    def density(u, v):
-        amp = np.einsum("k,ki,kj->ij", coef, u, v, optimize=True)
-        return np.abs(amp) ** 2
-
-    R = Marginal2D.gridded(PlaneLabel.QQ, g1, g2, density(a, b), normalize=True)
-    S = Marginal2D.gridded(PlaneLabel.QP, g1, p2_grid, density(a, bt), normalize=True)
-    T = Marginal2D.gridded(PlaneLabel.PQ, p1_grid, g2, density(at, b), normalize=True)
-    U = Marginal2D.gridded(PlaneLabel.PP, p1_grid, p2_grid, density(at, bt), normalize=True)
-    return QuartetProblem(R, S, T, U)
+    return QuartetProblem(
+        Marginal2D(PlaneLabel.QQ, g1, g2, amplitude=pos),
+        Marginal2D(PlaneLabel.QP, g1, p2_grid, amplitude=ProductSum(c, a, bt)),
+        Marginal2D(PlaneLabel.PQ, p1_grid, g2, amplitude=ProductSum(c, at, b)),
+        Marginal2D(PlaneLabel.PP, p1_grid, p2_grid, amplitude=ProductSum(c, at, bt)),
+    )
 
 
 def counterexample_quartet(a1, a2, a1p, a2p, b1, b2, b1p, b2p) -> QuartetProblem:

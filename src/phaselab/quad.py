@@ -24,7 +24,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 from scipy.special import spherical_jn
 
-from .errors import InvalidInputError, NumericalError, require_keys
+from .errors import InvalidInputError, NumericalError, json_value, require_keys
 
 __all__ = [
     "Grid1D",
@@ -98,13 +98,15 @@ class Grid1D:
     @classmethod
     def from_json(cls, obj: dict) -> "Grid1D":
         require_keys(obj, ("nodes", "weights"), "grid")
-        edges = obj.get("panel_edges")
-        return cls(
-            np.asarray(obj["nodes"], dtype=float),
-            np.asarray(obj["weights"], dtype=float),
-            None if edges is None else np.asarray(edges, dtype=float),
-            obj.get("panel_order"),
-        )
+        arrays = {}
+        for key in ("nodes", "weights", "panel_edges"):
+            with json_value("grid", key):
+                arrays[key] = None if obj.get(key) is None else np.asarray(obj[key], dtype=float)
+        order = obj.get("panel_order")
+        if order is not None and (type(order) is not int or order < 1):
+            raise InvalidInputError(f"grid JSON key 'panel_order' must be a positive integer, "
+                                    f"got {order!r}")
+        return cls(arrays["nodes"], arrays["weights"], arrays["panel_edges"], order)
 
 
 @dataclass(frozen=True)

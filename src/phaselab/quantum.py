@@ -24,6 +24,7 @@ import numpy as np
 
 from .bell import BellWitness, Region, p_expectation_from_quartet
 from .errors import InvalidInputError, NumericalError
+from .marginal import ProductSum, quantum_marginals
 from .quad import (
     ComplexProfile,
     Grid1D,
@@ -353,10 +354,7 @@ class WaveFunction2:
         return float(val)
 
     def position_density(self) -> np.ndarray:
-        amp = np.zeros((len(self.grid1), len(self.grid2)), dtype=complex)
-        for t in self.terms:
-            amp += t.coefficient * np.outer(t.factor1.values, t.factor2.values)
-        return np.abs(amp) ** 2
+        return ProductSum.from_terms(self.terms).density()
 
 
 @dataclass(frozen=True)
@@ -457,7 +455,5 @@ def p_hat_expectation_grid(
 ) -> float:
     """Grid-pipeline expectation: marginals of the state, then the Bell
     functional, then the affine map back to the projector expectation."""
-    from .marginal import quantum_marginals
-
     quartet = quantum_marginals(psi, p1_grid=p1_grid, p2_grid=p2_grid)
     return p_expectation_from_quartet(quartet, witness)

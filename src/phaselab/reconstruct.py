@@ -27,7 +27,7 @@ import numpy as np
 
 from . import _kernels
 from .bell import BellWitness, bell_sum
-from .errors import ConsistencyError, InvalidInputError, require_keys
+from .errors import ConsistencyError, InvalidInputError, json_value, require_keys
 from .marginal import (
     Marginal2D,
     PlaneLabel,
@@ -215,8 +215,13 @@ class Dense4D:
     @classmethod
     def from_json(cls, obj: dict) -> "Dense4D":
         require_keys(obj, ("grids", "values"), "dense")
-        grids = tuple(Grid1D.from_json(g) for g in obj["grids"])
-        return cls(grids, np.asarray(obj["values"], dtype=float))
+        with json_value("dense", "grids"):
+            grids = tuple(Grid1D.from_json(g) for g in obj["grids"])
+        if len(grids) != 4:
+            raise InvalidInputError(f"dense JSON key 'grids' must hold 4 grids, got {len(grids)}")
+        with json_value("dense", "values"):
+            values = np.asarray(obj["values"], dtype=float)
+        return cls(grids, values)
 
 
 @dataclass

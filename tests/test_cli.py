@@ -224,6 +224,76 @@ class TestSchemaErrors:
         assert "grids" in capsys.readouterr().err
 
 
+class TestTypeErrors:
+    """A value of the wrong type exits 1 with its key named, not with a
+    traceback."""
+
+    @pytest.fixture
+    def grid(self, artifacts):
+        return read_json(artifacts["triplet"])["sigma0"]["grid1"]
+
+    def _bad_quartet(self, grid, **override):
+        plane = {"plane": "QQ", "grid1": grid, "grid2": grid,
+                 "values": [[1.0] * len(grid["nodes"])] * len(grid["nodes"])}
+        plane.update(override)
+        return {k: plane for k in ("R", "S", "T", "U")}
+
+    @pytest.mark.parametrize("key, bad", [
+        ("nodes", lambda g: {**g, "nodes": ["a"] * len(g["nodes"])}),
+        ("weights", lambda g: {**g, "weights": {"w": 1.0}}),
+        ("panel_order", lambda g: {**g, "panel_order": "6"}),
+    ])
+    def test_demo_grid(self, tmp_path, grid, key, bad, capsys):
+        path = tmp_path / "q.json"
+        path.write_text(json.dumps(self._bad_quartet(bad(grid))))
+        assert run(["demo", "--quartet", str(path)]) == 1
+        assert repr(key) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, override", [
+        ("values", {"values": "dense"}),
+        ("values", {"values": [[1.0], [1.0, 2.0]]}),
+        ("atoms", {"atoms": 5}),
+        ("atoms", {"atoms": [{"x": "a", "y": 0.0, "w": 1.0}]}),
+    ])
+    def test_demo_marginal(self, tmp_path, grid, key, override, capsys):
+        path = tmp_path / "q.json"
+        path.write_text(json.dumps(self._bad_quartet(grid, **override)))
+        assert run(["demo", "--quartet", str(path)]) == 1
+        assert repr(key) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("region", [5, [[0.0]], [["a", None]], None])
+    def test_bell_eval_witness(self, tmp_path, region, capsys):
+        cjson = tmp_path / "c.json"
+        assert run(["bell", "counterexample", "--out", str(cjson)]) == 0
+        qpath, wpath = tmp_path / "q.json", tmp_path / "w.json"
+        qpath.write_text(json.dumps(read_json(cjson)["atoms"]))
+        wpath.write_text(json.dumps({**WITNESS, "S1": region}))
+        assert run(["bell", "eval", "--quartet", str(qpath), "--witness", str(wpath)]) == 1
+        assert "'S1'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, dense", [
+        ("grids", {"grids": 5, "values": []}),
+        ("grids", {"grids": [], "values": []}),
+        ("values", None),
+    ])
+    def test_reconstruct_F(self, tmp_path, artifacts, grid, key, dense, capsys):
+        if dense is None:
+            dense = {"grids": [grid] * 4, "values": "x"}
+        fpath = tmp_path / "f.json"
+        fpath.write_text(json.dumps(dense))
+        assert run(["reconstruct", "--triplet", str(artifacts["triplet"]),
+                    "--F", str(fpath)]) == 1
+        assert repr(key) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("params, key", [
+        ({"a1": "x"}, "a1"), ({"zz": 1.0}, "zz"), ([1.0], "object")])
+    def test_counterexample_params(self, tmp_path, params, key, capsys):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(params))
+        assert run(["bell", "counterexample", "--params", str(path)]) == 1
+        assert key in capsys.readouterr().err
+
+
 class TestReconstructWithF:
     def test_perturbation_path(self, tmp_path):
         import numpy as np

@@ -1,11 +1,19 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phaselab import quad
+from phaselab.bell import bell_sum
+from phaselab.cli import _emit, run
 from phaselab.errors import InvalidInputError
 from phaselab.marginal import (
     Marginal2D,
     PlaneLabel,
+    ProductSum,
     QuartetProblem,
     TripletProblem,
     consistency_check,
@@ -14,7 +22,14 @@ from phaselab.marginal import (
     quantum_marginals,
 )
 from phaselab.quad import ComplexProfile, build_panels, fourier_matrix
-from phaselab.quantum import HProfile, Term, ViolationParams, WaveFunction2, build_psi
+from phaselab.quantum import (
+    HProfile,
+    Term,
+    ViolationParams,
+    WaveFunction2,
+    build_psi,
+    canonical_witness,
+)
 
 
 def gaussian_vals(nodes, mu=0.0, sigma=1.0, boost=0.0):
@@ -264,3 +279,108 @@ class TestTransformCache:
         cold = [_cold_planes(p, n) for p, n in states] * 2
         for got, want in zip(warm, cold):
             assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+def _planes_of(quartet):
+    return [getattr(quartet, k) for k in ("R", "S", "T", "U")]
+
+
+def _dense_route(psi):
+    """The four planes formed densely, as quantum marginals were before
+    they stayed in product-sum form: each density is the sum of outer
+    products c_k u_k (x) v_k of the position or transformed factor rows,
+    squared and divided by its grid mass."""
+    c = np.array([t.coefficient for t in psi.terms])
+    a = np.stack([t.factor1.values for t in psi.terms])
+    b = np.stack([t.factor2.values for t in psi.terms])
+    at = quad.transform_rows(a, psi.grid1, psi.terms[0].factor1.carrier, psi.p1_grid)
+    bt = quad.transform_rows(b, psi.grid2, psi.terms[0].factor2.carrier, psi.p2_grid)
+    planes = []
+    for label, g1, g2, u, v in ((PlaneLabel.QQ, psi.grid1, psi.grid2, a, b),
+                                (PlaneLabel.QP, psi.grid1, psi.p2_grid, a, bt),
+                                (PlaneLabel.PQ, psi.p1_grid, psi.grid2, at, b),
+                                (PlaneLabel.PP, psi.p1_grid, psi.p2_grid, at, bt)):
+        dens = np.abs(np.einsum("k,ki,kj->ij", c, u, v, optimize=True)) ** 2
+        planes.append(Marginal2D.gridded(label, g1, g2, dens, normalize=True))
+    return QuartetProblem(*planes)
+
+
+PROFILES = [HProfile.cutoff_sqrt(1e-2, 1e2), HProfile.inverse_q_plus_one()]
+
+
+class TestProductSumRoute:
+    """Quantum marginals stay product sums: the Bell functional and the
+    masses use K x K Gram forms, and the dense planes appear only when a
+    caller reads ``values``."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(rho=st.floats(0.0, 3.0), theta=st.floats(-math.pi, math.pi),
+           sign=st.sampled_from([1, -1]), shift=st.floats(-1.0, 1.0),
+           boost=st.floats(-1.0, 1.0), h=st.sampled_from(PROFILES))
+    def test_gram_route_matches_dense_route(self, rho, theta, sign, shift, boost, h):
+        params = ViolationParams(h=h, rho=rho, theta=theta, shift=shift, boost=boost,
+                                 sign=sign)
+        psi = build_psi(params, n_target=64)
+        w = canonical_witness(params)
+        factored = quantum_marginals(psi)
+        gram = bell_sum(factored, w)
+        forced = QuartetProblem(*(Marginal2D(m.plane, m.grid1, m.grid2, m.values)
+                                  for m in _planes_of(factored)))
+        assert abs(gram - bell_sum(forced, w)) <= 1e-13
+        for m, want in zip(_planes_of(factored), _planes_of(_dense_route(psi))):
+            assert np.array_equal(m.values, want.values)
+            assert m.mass() == pytest.approx(1.0, abs=1e-13)
+
+    def test_bell_sum_forms_no_dense_plane(self, monkeypatch):
+        params = ViolationParams(h=HProfile.cutoff_sqrt(1e-6, 1e6))
+        psi = build_psi(params, n_target=256)
+        w = canonical_witness(params)
+        quantum_marginals(psi)                    # fill the transform cache
+        formed = []
+        density = ProductSum.density
+        monkeypatch.setattr(ProductSum, "density",
+                            lambda self: formed.append(self) or density(self))
+        tracemalloc.start()
+        try:
+            quartet = quantum_marginals(psi)
+            bell_sum(quartet, w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert formed == []
+        plane_bytes = 8 * len(psi.p1_grid) * len(psi.p2_grid)
+        assert plane_bytes > 30e6 and peak < plane_bytes / 20
+        # reading a plane forms exactly that plane, once
+        quartet.U.values
+        quartet.U.values
+        assert formed == [quartet.U.amplitude]
+
+    def test_from_psi_output_matches_dense_route(self, tmp_path):
+        out, ref = tmp_path / "from_psi.json", tmp_path / "dense.json"
+        assert run(["quartet", "from-psi", "--eps", "1e-2", "--L", "1e2",
+                    "--preset", "coarse", "--out", str(out)]) == 0
+        params = ViolationParams(h=HProfile.cutoff_sqrt(1e-2, 1e2))
+        dense = _dense_route(build_psi(params, n_target=64))
+        _emit({"quartet": dense.to_json(),
+               "witness": canonical_witness(params).to_json(),
+               "consistency": consistency_check(dense, tol=1e-2, relative=True).to_json()},
+              str(ref))
+        assert out.read_bytes() == ref.read_bytes()
+
+    def test_gram_form_of_a_random_product_sum(self):
+        rng = np.random.default_rng(7)
+        ps = ProductSum(rng.normal(size=3) + 1j * rng.normal(size=3),
+                        rng.normal(size=(3, 40)) + 1j * rng.normal(size=(3, 40)),
+                        rng.normal(size=(3, 30)) + 1j * rng.normal(size=(3, 30)))
+        wa, wb = rng.normal(size=40), rng.normal(size=30)
+        assert ps.form(wa, wb) == pytest.approx(wa @ ps.density() @ wb, rel=1e-12)
+
+    def test_rejects_a_massless_or_mismatched_product_sum(self):
+        g = build_panels([-1.0, 1.0], order=4, subdiv=2)
+        rows = np.ones((2, len(g)))
+        with pytest.raises(InvalidInputError, match="non-positive"):
+            Marginal2D(PlaneLabel.QQ, g, g, amplitude=ProductSum([1.0, -1.0], rows, rows))
+        with pytest.raises(InvalidInputError, match="match"):
+            Marginal2D(PlaneLabel.QQ, g, g, amplitude=ProductSum([1.0], rows[:1, 1:], rows[:1]))
+        with pytest.raises(InvalidInputError):
+            ProductSum([1.0, 2.0], rows[:1], rows[:1])
