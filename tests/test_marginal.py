@@ -313,7 +313,7 @@ class TestProductSumRoute:
     masses use K x K Gram forms, and the dense planes appear only when a
     caller reads ``values``."""
 
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=100, deadline=None)
     @given(rho=st.floats(0.0, 3.0), theta=st.floats(-math.pi, math.pi),
            sign=st.sampled_from([1, -1]), shift=st.floats(-1.0, 1.0),
            boost=st.floats(-1.0, 1.0), h=st.sampled_from(PROFILES))
