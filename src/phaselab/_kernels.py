@@ -1,45 +1,16 @@
-"""Hot 4-D kernels with a numba path and a pure-numpy fallback.
+"""Hot 4-D kernels of the reconstruction, in numpy.
 
-The reconstruction work touches N^4 cells (16.7M at N=64); these fused
-loops are the only place where jitting pays off.  Everything else in the
-package is BLAS-shaped and stays plain numpy.
-
-Backend selection: numba is used when importable unless the environment
-variable ``PHASELAB_NUMBA`` is set to ``0``/``off``/``false``.
-``PHASELAB_THREADS`` caps the numba thread pool.
+The reconstruction work touches N^4 cells (16.7M at N=64), and these four
+functions are the only places it does.  Everything else in the package
+works on 1-D or 2-D arrays.
 """
-
-import os
 
 import numpy as np
 
-_flag = os.environ.get("PHASELAB_NUMBA", "1").strip().lower()
-_want_numba = _flag not in ("0", "off", "false", "no")
-
-HAVE_NUMBA = False
-if _want_numba:
-    try:
-        import numba
-        from numba import njit, prange
-
-        HAVE_NUMBA = True
-    except ImportError:
-        HAVE_NUMBA = False
-
-if HAVE_NUMBA:
-    _threads = os.environ.get("PHASELAB_THREADS")
-    if _threads:
-        try:
-            numba.set_num_threads(max(1, min(int(_threads), numba.config.NUMBA_NUM_THREADS)))
-        except (ValueError, TypeError):
-            pass
-
-BACKEND = "numba" if HAVE_NUMBA else "numpy"
+BACKEND = "numpy"
 
 
-# ---------------------------------------------------------------- numpy path
-
-def rho0_dense_numpy(s0, s1, s2, inv01, inv12, m0, m1, m2):
+def rho0_dense(s0, s1, s2, inv01, inv12, m0, m1, m2):
     """rho[i,j,k,l] = s0[i,j] s1[k,j] s2[k,l] inv01[j] inv12[k] on the mask."""
     a = (s0 * m0)[:, :, None, None]                      # (i, j, 1, 1)
     b = (s1 * m1).T[None, :, :, None] * inv01[None, :, None, None]  # (1, j, k, 1)
@@ -47,14 +18,14 @@ def rho0_dense_numpy(s0, s1, s2, inv01, inv12, m0, m1, m2):
     return a * b * c
 
 
-def chain_marginals_numpy(rho, w1, w2, w3, w4):
+def chain_marginals(rho, w1, w2, w3, w4):
     out0 = np.einsum("ijkl,k,l->ij", rho, w3, w4, optimize=True)
     out1 = np.einsum("ijkl,i,l->kj", rho, w1, w4, optimize=True)
     out2 = np.einsum("ijkl,i,j->kl", rho, w1, w2, optimize=True)
     return out0, out1, out2
 
 
-def delta_combine_numpy(F, rho, b0, b1, b2, c01, c12):
+def delta_combine(F, rho, b0, b1, b2, c01, c12):
     """delta = F - rho * (b0[i,j] + b1[k,j] + b2[k,l] - c01[j] - c12[k])."""
     bracket = (b0 - c01[None, :])[:, :, None, None]
     bracket = bracket + (b1.T - c12[None, :])[None, :, :, None]
@@ -62,135 +33,10 @@ def delta_combine_numpy(F, rho, b0, b1, b2, c01, c12):
     return F - rho * bracket
 
 
-def ratio_extrema_numpy(delta, rho, supp_tol=0.0):
+def ratio_extrema(delta, rho):
     on = rho > 0.0
     ratios = delta[on] / rho[on]
     m_plus = float(ratios.max()) if ratios.size else 0.0
     m_minus = float(-ratios.min()) if ratios.size else 0.0
     off_leak = float(np.abs(delta[~on]).max()) if (~on).any() else 0.0
     return m_plus, m_minus, off_leak
-
-
-# ---------------------------------------------------------------- numba path
-
-if HAVE_NUMBA:
-
-    @njit(cache=True, parallel=True)
-    def _rho0_dense_nb(t0, t1, t2):
-        n1, n2 = t0.shape
-        n3, n4 = t2.shape
-        out = np.empty((n1, n2, n3, n4))
-        for i in prange(n1):
-            for j in range(n2):
-                a = t0[i, j]
-                for k in range(n3):
-                    b = a * t1[k, j]
-                    for l in range(n4):
-                        out[i, j, k, l] = b * t2[k, l]
-        return out
-
-    @njit(cache=True, parallel=True)
-    def _chain_marginals_nb(rho, w1, w2, w3, w4):
-        n1, n2, n3, n4 = rho.shape
-        out0 = np.zeros((n1, n2))
-        out1 = np.zeros((n3, n2))
-        out2 = np.zeros((n3, n4))
-        for i in prange(n1):
-            for j in range(n2):
-                acc0 = 0.0
-                for k in range(n3):
-                    row = 0.0
-                    for l in range(n4):
-                        row += w4[l] * rho[i, j, k, l]
-                    acc0 += w3[k] * row
-                out0[i, j] = acc0
-        for k in prange(n3):
-            for j in range(n2):
-                acc1 = 0.0
-                for i in range(n1):
-                    row = 0.0
-                    for l in range(n4):
-                        row += w4[l] * rho[i, j, k, l]
-                    acc1 += w1[i] * row
-                out1[k, j] = acc1
-        for k in prange(n3):
-            for l in range(n4):
-                acc2 = 0.0
-                for i in range(n1):
-                    row = 0.0
-                    for j in range(n2):
-                        row += w2[j] * rho[i, j, k, l]
-                    acc2 += w1[i] * row
-                out2[k, l] = acc2
-        return out0, out1, out2
-
-    @njit(cache=True, parallel=True)
-    def _delta_combine_nb(F, rho, b0, b1, b2, c01, c12):
-        n1, n2, n3, n4 = F.shape
-        out = np.empty((n1, n2, n3, n4))
-        for i in prange(n1):
-            for j in range(n2):
-                base = b0[i, j] - c01[j]
-                for k in range(n3):
-                    mid = base + b1[k, j] - c12[k]
-                    for l in range(n4):
-                        out[i, j, k, l] = F[i, j, k, l] - rho[i, j, k, l] * (mid + b2[k, l])
-        return out
-
-    @njit(cache=True, parallel=True)
-    def _ratio_extrema_nb(delta, rho):
-        n1, n2, n3, n4 = delta.shape
-        m_plus = -1e300
-        m_minus = -1e300
-        off_leak = 0.0
-        for i in prange(n1):
-            for j in range(n2):
-                for k in range(n3):
-                    for l in range(n4):
-                        r = rho[i, j, k, l]
-                        d = delta[i, j, k, l]
-                        if r > 0.0:
-                            q = d / r
-                            m_plus = max(m_plus, q)
-                            m_minus = max(m_minus, -q)
-                        else:
-                            off_leak = max(off_leak, abs(d))
-        return m_plus, m_minus, off_leak
-
-    def rho0_dense_numba(s0, s1, s2, inv01, inv12, m0, m1, m2):
-        # fold masks and shared-marginal inverses into the 2-D factors so
-        # the jitted loop is a branch-free fused product
-        t0 = s0 * m0 * inv01[None, :]
-        t1 = s1 * m1 * inv12[:, None]
-        t2 = s2 * m2
-        return _rho0_dense_nb(t0, t1, t2)
-
-    def chain_marginals_numba(rho, w1, w2, w3, w4):
-        return _chain_marginals_nb(rho, w1, w2, w3, w4)
-
-    def delta_combine_numba(F, rho, b0, b1, b2, c01, c12):
-        return _delta_combine_nb(F, rho, b0, b1, b2, c01, c12)
-
-    def ratio_extrema_numba(delta, rho, supp_tol=0.0):
-        m_plus, m_minus, off_leak = _ratio_extrema_nb(delta, rho)
-        if m_plus == -1e300:
-            m_plus, m_minus = 0.0, 0.0
-        return float(m_plus), float(m_minus), float(off_leak)
-
-else:
-    rho0_dense_numba = None
-    chain_marginals_numba = None
-    delta_combine_numba = None
-    ratio_extrema_numba = None
-
-
-if BACKEND == "numba":
-    rho0_dense = rho0_dense_numba
-    chain_marginals = chain_marginals_numba
-    delta_combine = delta_combine_numba
-    ratio_extrema = ratio_extrema_numba
-else:
-    rho0_dense = rho0_dense_numpy
-    chain_marginals = chain_marginals_numpy
-    delta_combine = delta_combine_numpy
-    ratio_extrema = ratio_extrema_numpy

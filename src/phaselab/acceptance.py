@@ -38,18 +38,13 @@ from .quantum import (
 )
 from .reconstruct import (
     Dense4D,
+    ReconstructionResult,
     calibrate_triplet,
     delta_from_F,
     lambda_range,
     rho0,
 )
-from .spin import (
-    SIGMA_Z,
-    defect_operator,
-    p_bar,
-    p_bar_pauli_form,
-    psi_pm_expectations,
-)
+from .spin import identity_defects
 
 
 @dataclass
@@ -208,11 +203,7 @@ def criterion_7() -> CriterionResult:
     quartet = quantum_marginals(psi)
     triplet, cal = calibrate_triplet(TripletProblem.from_quartet(quartet))
     base = rho0(triplet)
-    m0, m1, m2 = base.marginals()
-    roundtrip = max(
-        float(np.max(np.abs(m0 - triplet.sigma0.values))),
-        float(np.max(np.abs(m1 - triplet.sigma1.values))),
-        float(np.max(np.abs(m2 - triplet.sigma2.values))))
+    roundtrip = max(base.roundtrip_defects())
 
     rng = np.random.default_rng(2026)
     worst_mass, worst_marginal = 0.0, 0.0
@@ -239,9 +230,9 @@ def criterion_7() -> CriterionResult:
         for m in delta.chain_marginals():
             worst_marginal = max(worst_marginal, float(np.max(np.abs(m))))
         if k == 0:
-            rng_l = lambda_range(base, delta)
-            for lam in (rng_l.lo, rng_l.hi):
-                sol_min = float((dense + lam * delta.values).min())
+            result = ReconstructionResult(base, delta, lambda_range(base, delta))
+            for lam in (result.lambda_range.lo, result.lambda_range.hi):
+                sol_min = float(result.solution(lam).values.min())
                 endpoint_min = min(endpoint_min, sol_min)
                 endpoint_max = max(endpoint_max, sol_min)
 
@@ -259,19 +250,7 @@ def criterion_7() -> CriterionResult:
 def criterion_8() -> CriterionResult:
     """Two-qubit ground truth identities at machine precision."""
     t0 = time.perf_counter()
-    pauli_defect = float(np.max(np.abs(p_bar(1.0) - p_bar_pauli_form())))
-    defect_identity = float(np.max(np.abs(
-        defect_operator(1.0) + 0.25 * np.kron(SIGMA_Z, SIGMA_Z))))
-    plus = psi_pm_expectations(+1)
-    minus = psi_pm_expectations(-1)
-    errs = {
-        "pauli_form_defect": pauli_defect,
-        "defect_operator_defect": defect_identity,
-        "plus_expectation_error": abs(plus["p_bar_value"] - (1 - math.sqrt(2)) / 2),
-        "minus_expectation_error": abs(minus["p_bar_value"] - (1 + math.sqrt(2)) / 2),
-        "plus_defect_error": abs(plus["defect_value"] + 0.25),
-        "minus_defect_error": abs(minus["defect_value"] + 0.25),
-    }
+    errs = identity_defects()
     elapsed = time.perf_counter() - t0
     ok = all(v <= 1e-12 for v in errs.values()) and elapsed < 0.1
     details = dict(errs)

@@ -37,20 +37,16 @@ from .quantum import (
     p_hat_expectation_closed,
 )
 from .reconstruct import (
+    DENSE_AXIS_CAP,
     Dense4D,
+    ReconstructionResult,
     calibrate_triplet,
     delta_from_F,
     lambda_range,
     rho0,
     three_marginal_demo,
 )
-from .spin import (
-    SIGMA_Z,
-    defect_operator,
-    p_bar,
-    p_bar_pauli_form,
-    psi_pm_expectations,
-)
+from .spin import identity_defects, psi_pm_expectations
 
 PRESETS = {"coarse": 64, "default": 256, "fine": 1024}
 
@@ -201,14 +197,15 @@ def violate():
 @click.option("--boost", default=0.0, show_default=True)
 @click.option("--preset", type=click.Choice(sorted(PRESETS)), default="default",
               show_default=True)
-@click.option("--n", "n_target", type=int, default=None,
+@click.option("--n", "n_target", type=click.IntRange(min=1), default=None,
               help="override the preset's per-axis node target")
 @click.option("--out", type=click.Path(), default=None)
 def violate_scan(kind, eps, big_l, rho_grid, theta_grid, shift, boost, preset,
                  n_target, out):
     """CSV scan of closed-form vs grid-pipeline expectations."""
     h = _profile_from_options(kind, eps, big_l)
-    n_target = n_target or PRESETS[preset]
+    if n_target is None:
+        n_target = PRESETS[preset]
     gv = gamma(h)
     rhos = _parse_grid(rho_grid)
     thetas = _parse_grid(theta_grid)
@@ -273,19 +270,17 @@ def kop_gamma(eps, big_l, out):
 @click.option("--out", type=click.Path(), default=None)
 def reconstruct_cmd(triplet_path, f_path, lam, calibrate, out):
     """Base solution, perturbation, and admissible mixing interval."""
+    if lam is not None and f_path is None:
+        raise click.UsageError("--lam needs --F: lambda mixes in the perturbation Delta(F)")
     triplet = TripletProblem.from_json(_load_json(triplet_path))
     payload = {"chain_defects": list(triplet.chain_defects())}
     if calibrate:
         triplet, cal = calibrate_triplet(triplet)
         payload["calibration"] = cal
     base = rho0(triplet)
-    m0, m1, m2 = base.marginals()
     payload.update({
-        "marginal_defects": {
-            "sigma0": float(np.max(np.abs(m0 - triplet.sigma0.values))),
-            "sigma1": float(np.max(np.abs(m1 - triplet.sigma1.values))),
-            "sigma2": float(np.max(np.abs(m2 - triplet.sigma2.values))),
-        },
+        "marginal_defects": dict(zip(("sigma0", "sigma1", "sigma2"),
+                                     base.roundtrip_defects())),
         "mass": base.mass(),
         "diagnostics": base.diagnostics,
         "lambda_range": None,
@@ -294,18 +289,14 @@ def reconstruct_cmd(triplet_path, f_path, lam, calibrate, out):
     if f_path:
         F = Dense4D.from_json(_load_json(f_path))
         delta = delta_from_F(base, F)
-        rng_l = lambda_range(base, delta)
-        payload["lambda_range"] = rng_l.to_json()
+        result = ReconstructionResult(base, delta, lambda_range(base, delta))
+        payload["lambda_range"] = result.lambda_range.to_json()
         if lam is not None:
-            if not rng_l.unbounded and not rng_l.contains(lam):
-                raise click.UsageError(
-                    f"lambda {lam} outside admissible interval [{rng_l.lo}, {rng_l.hi}]")
-            sol = Dense4D(base.grids, base.dense() + lam * delta.values)
+            sol = result.solution(lam)
             payload["min_density"] = float(sol.values.min())
             payload["solution_mass"] = sol.mass()
-    else:
-        payload["min_density"] = float(base.dense().min()) \
-            if max(len(g) for g in base.grids) <= 64 else None
+    elif max(len(g) for g in base.grids) <= DENSE_AXIS_CAP:
+        payload["min_density"] = float(base.dense().min())
     _emit(payload, out)
 
 
@@ -326,7 +317,7 @@ def quartet():
 @click.option("--sign", default=1, show_default=True, type=int)
 @click.option("--preset", type=click.Choice(sorted(PRESETS)), default="default",
               show_default=True)
-@click.option("--n", "n_target", type=int, default=None)
+@click.option("--n", "n_target", type=click.IntRange(min=1), default=None)
 @click.option("--out", type=click.Path(), default=None)
 def quartet_from_psi(kind, eps, big_l, rho, theta, shift, boost, sign, preset,
                      n_target, out):
@@ -334,7 +325,9 @@ def quartet_from_psi(kind, eps, big_l, rho, theta, shift, boost, sign, preset,
     h = _profile_from_options(kind, eps, big_l)
     params = ViolationParams(h=h, rho=rho, theta=theta, shift=shift,
                              boost=boost, sign=sign)
-    psi = build_psi(params, n_target=n_target or PRESETS[preset])
+    if n_target is None:
+        n_target = PRESETS[preset]
+    psi = build_psi(params, n_target=n_target)
     q = quantum_marginals(psi)
     report = consistency_check(q, tol=1e-2, relative=True)
     _emit({
@@ -364,19 +357,8 @@ def spin():
 @click.option("--out", type=click.Path(), default=None)
 def spin_check(out):
     """All projection identities with their defects."""
-    pauli_defect = float(np.max(np.abs(p_bar(1.0) - p_bar_pauli_form())))
-    defect_identity = float(np.max(np.abs(
-        defect_operator(1.0) + 0.25 * np.kron(SIGMA_Z, SIGMA_Z))))
-    plus = psi_pm_expectations(+1)
-    minus = psi_pm_expectations(-1)
-    payload = {
-        "pauli_form_defect": pauli_defect,
-        "defect_operator_defect": defect_identity,
-        "plus": plus,
-        "minus": minus,
-        "plus_expectation_error": abs(plus["p_bar_value"] - (1 - math.sqrt(2)) / 2),
-        "minus_expectation_error": abs(minus["p_bar_value"] - (1 + math.sqrt(2)) / 2),
-    }
+    payload = identity_defects()
+    payload.update({"plus": psi_pm_expectations(+1), "minus": psi_pm_expectations(-1)})
     _emit(payload, out)
 
 

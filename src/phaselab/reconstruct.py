@@ -50,7 +50,6 @@ __all__ = [
     "delta_from_F",
     "lambda_range",
     "reconstruct_solution",
-    "general_solution",
     "three_marginal_demo",
 ]
 
@@ -88,9 +87,6 @@ class SupportMask:
     sigma0: np.ndarray
     sigma1: np.ndarray
     sigma2: np.ndarray
-
-    def e_cell(self, i, j, k, l) -> bool:
-        return bool(self.sigma0[i, j] and self.sigma1[k, j] and self.sigma2[k, l])
 
     def e_dense(self) -> np.ndarray:
         return (self.sigma0[:, :, None, None]
@@ -195,18 +191,13 @@ class Dense4D:
         if vals.shape != expected:
             raise InvalidInputError(f"values shape {vals.shape} != grids {expected}")
 
-    def weight_outer(self):
-        w1, w2, w3, w4 = (g.weights for g in self.grids)
-        return w1, w2, w3, w4
-
     def mass(self) -> float:
-        w1, w2, w3, w4 = self.weight_outer()
+        w1, w2, w3, w4 = (g.weights for g in self.grids)
         m0, _, _ = _kernels.chain_marginals(self.values, w1, w2, w3, w4)
         return float(w1 @ m0 @ w2)
 
     def chain_marginals(self):
-        w1, w2, w3, w4 = self.weight_outer()
-        return _kernels.chain_marginals(self.values, w1, w2, w3, w4)
+        return _kernels.chain_marginals(self.values, *(g.weights for g in self.grids))
 
     def to_json(self) -> dict:
         return {"grids": [g.to_json() for g in self.grids],
@@ -267,9 +258,6 @@ class PhaseSpaceDensity:
                 np.ascontiguousarray(self.mask.sigma2))
         return self._dense
 
-    def as_dense4d(self) -> Dense4D:
-        return Dense4D(self.grids, self.dense())
-
     def marginals(self):
         """Chain marginals in product form (no N^4 work)."""
         inv01, inv12 = self._inv_parents()
@@ -290,12 +278,16 @@ class PhaseSpaceDensity:
         m2 = s2 * (inv12 * row)[:, None]
         return m0, m1, m2
 
+    def roundtrip_defects(self) -> list:
+        """Sup defects of the three chain marginals against the chain
+        densities the base was built from (sigma0, sigma1, sigma2)."""
+        chain = self.chain
+        return [float(np.max(np.abs(m - s)))
+                for m, s in zip(self.marginals(), (chain.s0, chain.s1, chain.s2))]
+
     def mass(self) -> float:
         m0, _, _ = self.marginals()
         return float(self.chain.g_x1.weights @ m0 @ self.chain.g_x2.weights)
-
-    def min_cell(self) -> float:
-        return float(self.dense().min())
 
 
 @dataclass(frozen=True)
@@ -334,6 +326,7 @@ class ReconstructionResult:
         return self.lambda_range.m_minus
 
     def solution(self, lam: float) -> Dense4D:
+        """rho0 + lam * Delta; lam must lie in the admissible interval."""
         if not self.lambda_range.unbounded and not self.lambda_range.contains(lam):
             raise InvalidInputError(
                 f"lambda {lam} outside the admissible interval "
@@ -375,26 +368,19 @@ def _masked_ratio(num: np.ndarray, den: np.ndarray, mask: np.ndarray) -> np.ndar
     return np.where(mask, num / np.maximum(den, 1e-300), 0.0)
 
 
-def delta_from_F(
-    t_or_rho0,
-    F: Dense4D,
-    supp_tol: float = DEFAULT_SUPP_TOL,
-    leak_tol: float = 1e-9,
-) -> Dense4D:
+def delta_from_F(base: PhaseSpaceDensity, F: Dense4D, leak_tol: float = 1e-9) -> Dense4D:
     """Marginal-annihilating perturbation generated by F (supported in E).
 
-    Accepts either the triplet or an already-built base density.  F mass
-    outside E beyond ``leak_tol`` (relative to total |F| mass) is an
-    error; below it, the leak is masked away.
+    F mass outside E beyond ``leak_tol`` (relative to total |F| mass) is
+    an error; below it, the leak is masked away.
     """
-    base = t_or_rho0 if isinstance(t_or_rho0, PhaseSpaceDensity) else rho0(t_or_rho0, supp_tol)
     for g_have, g_want in zip(F.grids, base.grids):
         if not g_have.same_as(g_want):
             raise InvalidInputError("F grids must match the reconstruction grids")
 
     rho_dense = base.dense()
     e_mask = base.mask.e_dense()
-    w1, w2, w3, w4 = F.weight_outer()
+    w1, w2, w3, w4 = (g.weights for g in F.grids)
     abs_f = np.abs(F.values)
     total = float(np.einsum("ijkl,i,j,k,l->", abs_f, w1, w2, w3, w4, optimize=True))
     leak = float(np.einsum("ijkl,i,j,k,l->", np.where(e_mask, 0.0, abs_f),
@@ -444,14 +430,8 @@ def reconstruct_solution(t: TripletProblem, F: Dense4D,
                          supp_tol: float = DEFAULT_SUPP_TOL) -> ReconstructionResult:
     """Base density, perturbation generated by F, and admissible interval."""
     base = rho0(t, supp_tol)
-    delta = delta_from_F(base, F, supp_tol)
+    delta = delta_from_F(base, F)
     return ReconstructionResult(base, delta, lambda_range(base, delta))
-
-
-def general_solution(t: TripletProblem, F: Dense4D, lam: float,
-                     supp_tol: float = DEFAULT_SUPP_TOL) -> Dense4D:
-    """rho0 + lambda * Delta(F); lambda must lie in the admissible range."""
-    return reconstruct_solution(t, F, supp_tol).solution(lam)
 
 
 _CHAIN_RECIPES = {
@@ -507,10 +487,7 @@ def three_marginal_demo(
         chain = _chain_from_subset(quartet, subset)
         chain, cal = _calibrate_chain(chain, supp_tol)
         base = _rho0_chain(chain, supp_tol)
-        m0, m1, m2 = base.marginals()
-        defects = [float(np.max(np.abs(m0 - chain.s0))),
-                   float(np.max(np.abs(m1 - chain.s1))),
-                   float(np.max(np.abs(m2 - chain.s2)))]
+        defects = base.roundtrip_defects()
         out["subsets"][key] = {
             "roundtrip_sup_defects": defects,
             "max_roundtrip_defect": max(defects),

@@ -25,6 +25,7 @@ __all__ = [
     "defect_operator",
     "psi_pm",
     "psi_pm_expectations",
+    "identity_defects",
 ]
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -94,4 +95,21 @@ def psi_pm_expectations(sign: int) -> dict:
     return {
         "p_bar_value": float(np.real(np.conj(v) @ (P @ v))),
         "defect_value": float(np.real(np.conj(v) @ (D @ v))),
+    }
+
+
+def identity_defects() -> dict:
+    """Defects of the six gamma=1 identities: the Pauli form of P, the
+    defect operator -(1/4) sz x sz, and the expectations of P and of its
+    defect on the two extremal states."""
+    plus = psi_pm_expectations(+1)
+    minus = psi_pm_expectations(-1)
+    return {
+        "pauli_form_defect": float(np.max(np.abs(p_bar(1.0) - p_bar_pauli_form()))),
+        "defect_operator_defect": float(np.max(np.abs(
+            defect_operator(1.0) + 0.25 * np.kron(SIGMA_Z, SIGMA_Z)))),
+        "plus_expectation_error": abs(plus["p_bar_value"] - (1 - math.sqrt(2)) / 2),
+        "minus_expectation_error": abs(minus["p_bar_value"] - (1 + math.sqrt(2)) / 2),
+        "plus_defect_error": abs(plus["defect_value"] + 0.25),
+        "minus_defect_error": abs(minus["defect_value"] + 0.25),
     }

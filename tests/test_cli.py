@@ -85,6 +85,14 @@ class TestScan:
         assert float(row[5]) == pytest.approx(2.0 - 4.0 * grid, abs=1e-9)
 
 
+class TestNodeTarget:
+    @pytest.mark.parametrize("command", [["violate", "scan"], ["quartet", "from-psi"]])
+    @pytest.mark.parametrize("n", ["0", "-5"])
+    def test_non_positive_n_rejected(self, command, n, capsys):
+        assert run(command + ["--n", n]) == 1
+        assert "--n" in capsys.readouterr().err
+
+
 @pytest.fixture(scope="module")
 def artifacts(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("artifacts")
@@ -155,6 +163,18 @@ class TestSpinCheck:
         assert payload["defect_operator_defect"] < 1e-12
         assert payload["plus"]["p_bar_value"] == pytest.approx(
             (1 - math.sqrt(2)) / 2, abs=1e-12)
+
+    def test_same_defects_as_criterion_8(self, tmp_path):
+        from phaselab.acceptance import criterion_8
+
+        out = tmp_path / "spin.json"
+        assert run(["spin", "check", "--out", str(out)]) == 0
+        payload = read_json(out)
+        details = criterion_8().details
+        keys = ("pauli_form_defect", "defect_operator_defect",
+                "plus_expectation_error", "minus_expectation_error",
+                "plus_defect_error", "minus_defect_error")
+        assert {k: payload[k] for k in keys} == {k: details[k] for k in keys}
 
 
 class TestDeterminism:
@@ -326,6 +346,42 @@ class TestReconstructWithF:
         assert payload["lambda_range"]["lo"] < 0 < payload["lambda_range"]["hi"]
         assert payload["min_density"] >= -1e-12
         assert payload["solution_mass"] == pytest.approx(1.0, abs=1e-8)
+
+
+class TestReconstructLambda:
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        from phaselab.marginal import Marginal2D, PlaneLabel, TripletProblem
+        from phaselab.quad import build_panels
+        from phaselab.reconstruct import Dense4D, reconstruct_solution, rho0
+
+        tmp = tmp_path_factory.mktemp("lam")
+        g = build_panels([-6.0, 0.0, 6.0], order=4, subdiv=2)
+        a, b, c, d = (np.exp(-(g.nodes - mu) ** 2 / 2) for mu in (0.0, 0.5, -0.4, 0.2))
+        triplet = TripletProblem(
+            Marginal2D.gridded(PlaneLabel.QQ, g, g, np.outer(a, b), normalize=True),
+            Marginal2D.gridded(PlaneLabel.PQ, g, g, np.outer(c, b), normalize=True),
+            Marginal2D.gridded(PlaneLabel.PP, g, g, np.outer(c, d), normalize=True))
+        base = rho0(triplet)
+        bump = np.exp(-(g.nodes - 1.0) ** 2)
+        F = Dense4D(base.grids, base.dense() * np.einsum("i,j,k,l->ijkl", bump, bump, bump, bump))
+        tpath, fpath = tmp / "t.json", tmp / "f.json"
+        tpath.write_text(json.dumps(triplet.to_json()))
+        fpath.write_text(json.dumps(F.to_json()))
+        return tpath, fpath, reconstruct_solution(triplet, F).lambda_range
+
+    def test_lam_without_F_rejected(self, files, capsys):
+        tpath, _, _ = files
+        assert run(["reconstruct", "--triplet", str(tpath), "--lam", "5"]) == 1
+        assert "--F" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("end", ["lo", "hi"])
+    def test_lam_outside_interval_rejected(self, files, end, capsys):
+        tpath, fpath, rng_l = files
+        lam = 2.0 * getattr(rng_l, end)
+        assert run(["reconstruct", "--triplet", str(tpath), "--F", str(fpath),
+                    "--lam", repr(lam)]) == 1
+        assert "admissible interval" in capsys.readouterr().err
 
 
 class TestBellEvalConsistencyGate:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import phaselab
 from phaselab import _kernels
 
 
@@ -18,27 +19,29 @@ def random_inputs(n=9, seed=0):
     return s0, s1, s2, inv01, inv12, m0, m1, m2, weights
 
 
-needs_numba = pytest.mark.skipif(not _kernels.HAVE_NUMBA, reason="numba unavailable")
+class TestKernelReference:
+    """Each kernel against a literal loop or an unoptimised einsum."""
 
-
-class TestBackendAgreement:
-    @needs_numba
     def test_rho0_dense(self):
         s0, s1, s2, inv01, inv12, m0, m1, m2, _ = random_inputs()
-        a = _kernels.rho0_dense_numpy(s0, s1, s2, inv01, inv12, m0, m1, m2)
-        b = _kernels.rho0_dense_numba(s0, s1, s2, inv01, inv12, m0, m1, m2)
-        assert np.max(np.abs(a - b)) < 1e-13
+        got = _kernels.rho0_dense(s0, s1, s2, inv01, inv12, m0, m1, m2)
+        n = s0.shape[0]
+        ref = np.empty((n, n, n, n))
+        for i, j, k, l in np.ndindex(ref.shape):
+            ref[i, j, k, l] = (s0[i, j] * m0[i, j] * s1[k, j] * m1[k, j] * inv01[j]
+                               * s2[k, l] * m2[k, l] * inv12[k])
+        assert np.max(np.abs(got - ref)) < 1e-13
 
-    @needs_numba
     def test_chain_marginals(self):
         s0, s1, s2, inv01, inv12, m0, m1, m2, w = random_inputs(seed=1)
-        rho = _kernels.rho0_dense_numpy(s0, s1, s2, inv01, inv12, m0, m1, m2)
-        a = _kernels.chain_marginals_numpy(rho, *w)
-        b = _kernels.chain_marginals_numba(rho, *w)
-        for x, y in zip(a, b):
+        rho = _kernels.rho0_dense(s0, s1, s2, inv01, inv12, m0, m1, m2)
+        w1, w2, w3, w4 = w
+        ref = (np.einsum("ijkl,k,l->ij", rho, w3, w4, optimize=False),
+               np.einsum("ijkl,i,l->kj", rho, w1, w4, optimize=False),
+               np.einsum("ijkl,i,j->kl", rho, w1, w2, optimize=False))
+        for x, y in zip(_kernels.chain_marginals(rho, *w), ref):
             assert np.max(np.abs(x - y)) < 1e-13
 
-    @needs_numba
     def test_delta_combine(self):
         rng = np.random.default_rng(2)
         n = 8
@@ -49,39 +52,33 @@ class TestBackendAgreement:
         b2 = rng.normal(size=(n, n))
         c01 = rng.normal(size=n)
         c12 = rng.normal(size=n)
-        a = _kernels.delta_combine_numpy(F, rho, b0, b1, b2, c01, c12)
-        b = _kernels.delta_combine_numba(F, rho, b0, b1, b2, c01, c12)
-        assert np.max(np.abs(a - b)) < 1e-13
+        got = _kernels.delta_combine(F, rho, b0, b1, b2, c01, c12)
+        ref = np.empty_like(F)
+        for i, j, k, l in np.ndindex(F.shape):
+            bracket = b0[i, j] + b1[k, j] + b2[k, l] - c01[j] - c12[k]
+            ref[i, j, k, l] = F[i, j, k, l] - rho[i, j, k, l] * bracket
+        assert np.max(np.abs(got - ref)) < 1e-13
 
-    @needs_numba
     def test_ratio_extrema(self):
         rng = np.random.default_rng(3)
         n = 8
         rho = rng.uniform(0.0, 1.0, size=(n, n, n, n))
         rho[rho < 0.3] = 0.0
         delta = rng.normal(size=(n, n, n, n)) * (rho > 0)
-        a = _kernels.ratio_extrema_numpy(delta, rho)
-        b = _kernels.ratio_extrema_numba(delta, rho)
-        assert a[0] == pytest.approx(b[0], abs=1e-13)
-        assert a[1] == pytest.approx(b[1], abs=1e-13)
-        assert a[2] == pytest.approx(b[2], abs=1e-13)
+        m_plus = m_minus = -np.inf
+        off_leak = 0.0
+        for idx in np.ndindex(rho.shape):
+            if rho[idx] > 0.0:
+                q = delta[idx] / rho[idx]
+                m_plus, m_minus = max(m_plus, q), max(m_minus, -q)
+            else:
+                off_leak = max(off_leak, abs(delta[idx]))
+        got = _kernels.ratio_extrema(delta, rho)
+        assert got[0] == pytest.approx(m_plus, abs=1e-13)
+        assert got[1] == pytest.approx(m_minus, abs=1e-13)
+        assert got[2] == pytest.approx(off_leak, abs=1e-13)
 
 
-class TestEnvFlag:
+class TestBackend:
     def test_backend_reported(self):
-        assert _kernels.BACKEND in ("numba", "numpy")
-
-    def test_numpy_fallback_selected_by_env(self):
-        import subprocess
-        import sys
-        from pathlib import Path
-
-        import phaselab
-
-        code = ("import phaselab._kernels as k; "
-                "print(k.BACKEND, k.rho0_dense is k.rho0_dense_numpy)")
-        out = subprocess.run([sys.executable, "-c", code],
-                             env={"PHASELAB_NUMBA": "0", "PATH": "/usr/bin:/bin"},
-                             capture_output=True, text=True,
-                             cwd=Path(phaselab.__file__).resolve().parents[1])
-        assert out.stdout.strip() == "numpy True", out.stderr
+        assert phaselab.BACKEND == "numpy"

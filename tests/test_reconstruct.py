@@ -15,8 +15,8 @@ from phaselab.reconstruct import (
     Dense4D,
     calibrate_triplet,
     delta_from_F,
-    general_solution,
     lambda_range,
+    reconstruct_solution,
     rho0,
     support_sets,
     three_marginal_demo,
@@ -145,6 +145,15 @@ class TestRho0:
         assert np.max(np.abs(m2 - tc.sigma2.values)) < 1e-12
         assert base.mass() == pytest.approx(1.0, abs=1e-10)
 
+    def test_roundtrip_defects_against_triplet(self):
+        t, _ = quantum_triplet()
+        base = rho0(t)
+        m0, m1, m2 = base.marginals()
+        assert base.roundtrip_defects() == [
+            float(np.max(np.abs(m0 - t.sigma0.values))),
+            float(np.max(np.abs(m1 - t.sigma1.values))),
+            float(np.max(np.abs(m2 - t.sigma2.values)))]
+
     def test_quantum_triplet_roundtrip(self):
         t, _ = quantum_triplet()
         base = rho0(t)
@@ -265,7 +274,7 @@ class TestGeneralSolution:
         tc, _ = calibrate_triplet(t)
         base = rho0(tc)
         F = random_bump_F(base, np.random.default_rng(1))
-        sol = general_solution(tc, F, 0.0)
+        sol = reconstruct_solution(tc, F).solution(0.0)
         assert np.max(np.abs(sol.values - base.dense())) < 1e-12
 
     def test_marginals_preserved_at_interior_lambda(self):
@@ -275,7 +284,7 @@ class TestGeneralSolution:
         F = random_bump_F(base, np.random.default_rng(2))
         delta = delta_from_F(base, F)
         lam = 0.4 * lambda_range(base, delta).hi
-        sol = general_solution(tc, F, lam)
+        sol = reconstruct_solution(tc, F).solution(lam)
         m0, m1, m2 = sol.chain_marginals()
         assert np.max(np.abs(m0 - tc.sigma0.values)) < 1e-10
         assert np.max(np.abs(m1 - tc.sigma1.values)) < 1e-10
@@ -290,7 +299,7 @@ class TestGeneralSolution:
         delta = delta_from_F(base, F)
         lam = 3.0 * lambda_range(base, delta).hi
         with pytest.raises(InvalidInputError):
-            general_solution(tc, F, lam)
+            reconstruct_solution(tc, F).solution(lam)
 
 
 class TestChainEquivalence:
