@@ -29,6 +29,7 @@ from .marginal import (
     quantum_marginals,
 )
 from .quantum import (
+    GridPlan,
     HProfile,
     ViolationParams,
     build_psi,
@@ -96,6 +97,16 @@ def _profile_from_options(kind: str, eps: float, L: float) -> HProfile:
     if kind in ("cutoff", "cutoff_sqrt"):
         return HProfile.cutoff_sqrt(eps, L)
     raise click.UsageError(f"unknown profile kind {kind!r}")
+
+
+def _node_target(h: HProfile, preset: str, n_target) -> int:
+    """The per-axis node target: ``--n`` or the preset's, refused where a
+    panel floor would override it."""
+    n = PRESETS[preset] if n_target is None else n_target
+    n_min = GridPlan(h).min_n
+    if n < n_min:
+        raise click.UsageError(f"--n must be at least {n_min} for this profile, got {n}")
+    return n
 
 
 def _parse_grid(spec: str):
@@ -204,8 +215,7 @@ def violate_scan(kind, eps, big_l, rho_grid, theta_grid, shift, boost, preset,
                  n_target, out):
     """CSV scan of closed-form vs grid-pipeline expectations."""
     h = _profile_from_options(kind, eps, big_l)
-    if n_target is None:
-        n_target = PRESETS[preset]
+    n_target = _node_target(h, preset, n_target)
     gv = gamma(h)
     rhos = _parse_grid(rho_grid)
     thetas = _parse_grid(theta_grid)
@@ -325,9 +335,7 @@ def quartet_from_psi(kind, eps, big_l, rho, theta, shift, boost, sign, preset,
     h = _profile_from_options(kind, eps, big_l)
     params = ViolationParams(h=h, rho=rho, theta=theta, shift=shift,
                              boost=boost, sign=sign)
-    if n_target is None:
-        n_target = PRESETS[preset]
-    psi = build_psi(params, n_target=n_target)
+    psi = build_psi(params, n_target=_node_target(h, preset, n_target))
     q = quantum_marginals(psi)
     report = consistency_check(q, tol=1e-2, relative=True)
     _emit({

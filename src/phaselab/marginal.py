@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING, Optional
 import numpy as np
 
 from .errors import InvalidInputError, json_value, require_keys
-from .quad import ComplexProfile, Grid1D, reciprocal_log_grid, transform_rows
+from .quad import ComplexProfile, Grid1D
 
 if TYPE_CHECKING:
     from .quantum import WaveFunction2
@@ -34,6 +34,7 @@ __all__ = [
 ]
 
 GRIDDED_MASS_TOL = 1e-8
+STATE_NORM_TOL = 1e-6
 ATOMIC_MASS_TOL = 1e-12
 
 
@@ -400,12 +401,7 @@ def one_var_marginal(m: Marginal2D, axis: int) -> ComplexProfile:
     return ComplexProfile(grid, vals.astype(complex))
 
 
-def quantum_marginals(
-    psi: "WaveFunction2",
-    p1_grid: Optional[Grid1D] = None,
-    p2_grid: Optional[Grid1D] = None,
-    norm_tol: float = 1e-6,
-) -> QuartetProblem:
+def quantum_marginals(psi: "WaveFunction2") -> QuartetProblem:
     """The four position/momentum marginals of a pure product-sum state.
 
     R is the position density |psi|^2; S, T, U replace one or both axes
@@ -416,34 +412,25 @@ def quantum_marginals(
     transform-mass defect they carry) are divided away and not returned.
     No N1 x N2 density is formed until a caller reads a plane's
     ``values``; the Bell functional and the masses work on the factor
-    rows directly.  The factor transforms go through
-    :func:`~phaselab.quad.transform_rows`, which caches them by content:
-    states that differ only in their term coefficients, as along a
-    (rho, theta) scan, transform their factors once.
+    rows directly.  The rows and their transforms come from the state's
+    axes (:attr:`~phaselab.quantum.WaveFunction2.axes`), which states
+    built by :func:`~phaselab.quantum.build_psi` share across lambda, so
+    a (rho, theta) scan transforms its factors once.
     """
     nrm = psi.norm_sq()
-    if abs(nrm - 1.0) > norm_tol:
-        raise InvalidInputError(f"state norm^2 = {nrm!r} deviates from 1 beyond {norm_tol}")
+    if abs(nrm - 1.0) > STATE_NORM_TOL:
+        raise InvalidInputError(
+            f"state norm^2 = {nrm!r} deviates from 1 beyond {STATE_NORM_TOL}")
 
-    g1, g2 = psi.grid1, psi.grid2
-    if p1_grid is None:
-        p1_grid = psi.p1_grid or reciprocal_log_grid(g1, n_target=len(g1))
-    if p2_grid is None:
-        p2_grid = psi.p2_grid or reciprocal_log_grid(g2, n_target=len(g2))
-
-    # per-axis carriers are common across terms (enforced by WaveFunction2),
-    # so the position planes may use the stored values directly and one
-    # transform serves a whole axis
-    pos = ProductSum.from_terms(psi.terms)
-    c, a, b = pos.coef, pos.u, pos.v
-    at = transform_rows(a, g1, psi.terms[0].factor1.carrier, p1_grid)
-    bt = transform_rows(b, g2, psi.terms[0].factor2.carrier, p2_grid)
-
+    ax1, ax2 = psi.axes
+    g1, g2, p1, p2 = ax1.grid, ax2.grid, ax1.p_grid, ax2.p_grid
+    c = np.array([t.coefficient for t in psi.terms])
+    a, b, at, bt = ax1.rows, ax2.rows, ax1.p_rows, ax2.p_rows
     return QuartetProblem(
-        Marginal2D(PlaneLabel.QQ, g1, g2, amplitude=pos),
-        Marginal2D(PlaneLabel.QP, g1, p2_grid, amplitude=ProductSum(c, a, bt)),
-        Marginal2D(PlaneLabel.PQ, p1_grid, g2, amplitude=ProductSum(c, at, b)),
-        Marginal2D(PlaneLabel.PP, p1_grid, p2_grid, amplitude=ProductSum(c, at, bt)),
+        Marginal2D(PlaneLabel.QQ, g1, g2, amplitude=ProductSum(c, a, b)),
+        Marginal2D(PlaneLabel.QP, g1, p2, amplitude=ProductSum(c, a, bt)),
+        Marginal2D(PlaneLabel.PQ, p1, g2, amplitude=ProductSum(c, at, b)),
+        Marginal2D(PlaneLabel.PP, p1, p2, amplitude=ProductSum(c, at, bt)),
     )
 
 

@@ -1,5 +1,5 @@
-"""One-dimensional grids, composite Gauss-Legendre quadrature, principal
-values, and the continuum Fourier transform.
+"""One-dimensional grids, composite Gauss-Legendre quadrature and the
+continuum Fourier transform.
 
 Grids are composite Gauss-Legendre panels.  The Fourier transform is a
 dense O(N^2) quadrature transform, but each panel's oscillatory moments
@@ -15,11 +15,9 @@ the inverse.
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 from scipy.special import spherical_jn
@@ -32,12 +30,10 @@ __all__ = [
     "build_panels",
     "integrate",
     "integrate_values",
-    "pv_integrate",
     "fourier",
     "fourier_matrix",
     "transform_rows",
     "symmetric_log_grid",
-    "reciprocal_log_grid",
 ]
 
 
@@ -279,32 +275,6 @@ def symmetric_log_grid(
     return grid_from_edges(center + edges, order)
 
 
-def reciprocal_log_grid(
-    q_grid: Grid1D,
-    n_target: int = 512,
-    order: int = 6,
-    center_q: float = 0.0,
-    center_p: float = 0.0,
-    inner_factor: float = 0.01,
-    outer_factor: float = 100.0,
-) -> Grid1D:
-    """Momentum grid reciprocal to a log-graded position grid.
-
-    Spans ``center_p +- [inner_factor/Q_max, outer_factor/Q_min]`` where
-    ``Q_min``/``Q_max`` are the smallest/largest distances of q-nodes from
-    ``center_q``; bridged through the center.
-    """
-    d = np.abs(q_grid.nodes - center_q)
-    d = d[d > 0]
-    if d.size == 0:
-        raise InvalidInputError("q grid has no offset from its center")
-    p_min = inner_factor / d.max()
-    p_max = outer_factor / d.min()
-    panels_per_side = max(4, int(round((n_target - 2 * order) / (2 * order))))
-    return symmetric_log_grid(p_min, p_max, panels_per_side, order,
-                              bridge=True, center=center_p)
-
-
 def integrate_values(grid: Grid1D, values: np.ndarray) -> complex:
     values = np.asarray(values)
     if values.shape != grid.nodes.shape:
@@ -315,44 +285,6 @@ def integrate_values(grid: Grid1D, values: np.ndarray) -> complex:
 def integrate(f: ComplexProfile) -> complex:
     """Quadrature sum over the profile's grid."""
     return integrate_values(f.grid, f.values)
-
-
-def pv_integrate(f: Callable[[np.ndarray], np.ndarray], c: float, grid: Grid1D) -> float:
-    """Cauchy principal value of ``int f(x)/(x - c) dx`` over the grid span.
-
-    The singular window ``|x - c| <= R`` (largest symmetric window inside
-    the span) is handled by the pair-difference ``[f(c+t) - f(c-t)]/t``,
-    which is regular at t=0; the remainder is plain quadrature with
-    panels log-graded toward the window edge.
-    """
-    if grid.panel_edges is not None:
-        a, b = float(grid.panel_edges[0]), float(grid.panel_edges[-1])
-    else:
-        a, b = grid.span
-    if not (a < c < b):
-        raise InvalidInputError("singular point must lie strictly inside the grid span")
-    R = min(c - a, b - c)
-    tiny = 1e-12 * (b - a)
-
-    order = 12
-    n_panels = max(8, len(grid) // order)
-    t_grid = build_panels([0.0, R], order, grading="log", subdiv=n_panels)
-    t, wt = t_grid.nodes, t_grid.weights
-    sym = np.sum(wt * (np.asarray(f(c + t), dtype=float)
-                       - np.asarray(f(c - t), dtype=float)) / t)
-
-    rest = 0.0
-    if c - R > a + tiny:
-        outer = build_panels([a, c - R], order, grading="log", subdiv=n_panels)
-        # grade toward the singular (right) end by mirroring
-        x = (a + (c - R)) - outer.nodes[::-1]
-        w = outer.weights[::-1]
-        rest += np.sum(w * np.asarray(f(x), dtype=float) / (x - c))
-    if c + R < b - tiny:
-        outer = build_panels([c + R, b], order, grading="log", subdiv=n_panels)
-        rest += np.sum(outer.weights * np.asarray(f(outer.nodes), dtype=float)
-                       / (outer.nodes - c))
-    return float(sym + rest)
 
 
 def fourier_matrix(q_grid: Grid1D, p_grid: Grid1D, sign: int = -1) -> np.ndarray:
@@ -392,16 +324,6 @@ def fourier_matrix(q_grid: Grid1D, p_grid: Grid1D, sign: int = -1) -> np.ndarray
     return M.reshape(len(p), -1) / np.sqrt(2 * np.pi)
 
 
-# Transformed factor rows, keyed by content (see transform_rows).  One entry
-# of 2 rows on a 2064-node momentum grid is 66 KB; a whole transform matrix
-# would be 7.75 MiB, so rows are kept and matrices are not.  A state needs at
-# most two entries, one per axis (one when shift = boost = 0, since the axes
-# then share it), so two entries serve a scan over (rho, theta).
-_TRANSFORM_CACHE_SIZE = 2
-_transform_cache: "OrderedDict[tuple, np.ndarray]" = OrderedDict()
-_transform_lock = threading.Lock()
-
-
 def _eval_grid(p_grid: Grid1D, carrier: float, sign: int) -> Grid1D:
     # e^{i s p q} e^{i c q} = e^{i s (p + s c) q}: a carrier is a frequency shift
     if carrier != 0.0:
@@ -409,41 +331,12 @@ def _eval_grid(p_grid: Grid1D, carrier: float, sign: int) -> Grid1D:
     return p_grid
 
 
-def _transform_key(values: np.ndarray, q_grid: Grid1D, carrier: float,
-                   p_grid: Grid1D, sign: int) -> tuple:
-    if q_grid.panel_edges is not None:
-        q_key = (q_grid.panel_edges.tobytes(), int(q_grid.panel_order))
-    else:
-        q_key = (q_grid.nodes.tobytes(), q_grid.weights.tobytes())
-    return (values.shape, values.tobytes(), q_key,
-            np.float64(carrier).tobytes(), p_grid.nodes.tobytes(), int(sign))
-
-
 def transform_rows(values, q_grid: Grid1D, carrier: float, p_grid: Grid1D,
                    sign: int = -1) -> np.ndarray:
     """Fourier transform of each row of ``values`` (n_terms, len(q_grid)),
-    carrier included, onto ``p_grid``: ``values @ fourier_matrix(...).T``.
-
-    Results are cached by the content of every input (factor rows, q-grid
-    panels, carrier, p nodes, sign), never by object identity, so a scan
-    that rebuilds the same factors transforms them once.  The cache keeps
-    the last two results, one per axis of a state; the arrays it returns
-    are read-only.
-    """
+    carrier included, onto ``p_grid``: ``values @ fourier_matrix(...).T``."""
     values = np.ascontiguousarray(values, dtype=complex)
-    key = _transform_key(values, q_grid, carrier, p_grid, sign)
-    with _transform_lock:
-        rows = _transform_cache.get(key)
-        if rows is not None:
-            _transform_cache.move_to_end(key)
-            return rows
-    rows = values @ fourier_matrix(q_grid, _eval_grid(p_grid, carrier, sign), sign).T
-    rows.setflags(write=False)
-    with _transform_lock:
-        _transform_cache[key] = rows
-        while len(_transform_cache) > _TRANSFORM_CACHE_SIZE:
-            _transform_cache.popitem(last=False)
-    return rows
+    return values @ fourier_matrix(q_grid, _eval_grid(p_grid, carrier, sign), sign).T
 
 
 def fourier(psi: ComplexProfile, p_grid: Grid1D, sign: int = -1) -> ComplexProfile:

@@ -16,8 +16,10 @@ which dips below 0 exactly when |gamma| exceeds sqrt(2 sqrt(3) - 3).
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 import numpy as np
@@ -30,12 +32,14 @@ from .quad import (
     Grid1D,
     fourier,
     grid_from_edges,
-    pv_integrate,
     symmetric_log_grid,
+    transform_rows,
 )
 
 __all__ = [
     "HProfile",
+    "GridPlan",
+    "Axis",
     "ViolationParams",
     "WaveFunction2",
     "Term",
@@ -49,12 +53,11 @@ __all__ = [
     "p_hat_expectation_grid",
     "violation_threshold",
     "min_expectation_over_lambda",
-    "momentum_grid_for",
 ]
 
-DEFAULT_EPS = 1e-6
-DEFAULT_L = 1e6
 INV1_SCALE_MAX = 1e8
+# fewest log panels on each side of a symmetric position or momentum grid
+MIN_PANELS = 4
 
 
 @dataclass(frozen=True)
@@ -96,30 +99,6 @@ class HProfile:
     def samples(cls, profile: ComplexProfile) -> "HProfile":
         return cls("samples", profile=profile)
 
-    def support(self) -> Tuple[float, float]:
-        """Radial scales (inner, outer) used to build reciprocal grids."""
-        if self.kind == "cutoff_sqrt":
-            return self.eps, self.L
-        if self.kind == "inverse_q_plus_one":
-            return 1e-3, INV1_SCALE_MAX
-        nodes = self.profile.grid.nodes
-        hi = nodes[-1]
-        positive = nodes[nodes > 0]
-        return (positive[0] if positive.size else hi * 1e-6), hi
-
-    def half_line_grid(self, n_target: int = 720) -> Grid1D:
-        if self.kind == "samples":
-            return self.profile.grid
-        if self.kind == "cutoff_sqrt":
-            order = 12
-            panels = max(8, n_target // order)
-            edges = np.geomspace(self.eps, self.L, panels + 1)
-            return grid_from_edges(edges, order)
-        order = 10
-        panels = max(12, n_target // order - 4)
-        edges = np.concatenate([[0.0], np.geomspace(1e-10, 1e10, panels + 1)])
-        return grid_from_edges(edges, order)
-
     def evaluate(self, q: np.ndarray) -> np.ndarray:
         """Raw (un-renormalized) profile values at half-line points."""
         q = np.asarray(q, dtype=float)
@@ -132,13 +111,141 @@ class HProfile:
             return vals
         return self.profile.interp(q).real
 
-    def half_line_profile(self, n_target: int = 720) -> ComplexProfile:
-        """Profile sampled on its canonical grid, renormalized on-grid."""
+    def half_line_profile(self) -> ComplexProfile:
+        """Profile sampled on its plan's half-line grid, renormalized
+        on-grid; a ``samples`` profile as given."""
         if self.kind == "samples":
             return self.profile
-        grid = self.half_line_grid(n_target)
+        grid = GridPlan(self).half_line()
         vals = self.evaluate(grid.nodes).astype(complex)
         return ComplexProfile(grid, vals).normalized()
+
+
+@dataclass(frozen=True, eq=False)
+class Axis:
+    """One axis of a product-sum state: the position grid, the momentum
+    grid and the carrier shared by its factors, the factor rows (K, N) on
+    the position nodes, and their Fourier transforms (K, M) on the
+    momentum nodes, formed on first use.  Both row arrays are read-only.
+    """
+
+    grid: Grid1D
+    p_grid: Grid1D
+    carrier: float
+    rows: np.ndarray
+
+    def __post_init__(self):
+        self.rows.setflags(write=False)
+
+    @classmethod
+    def from_factors(cls, factors, p_grid: Grid1D) -> "Axis":
+        """The axis of profiles on one grid with one carrier."""
+        return cls(factors[0].grid, p_grid, factors[0].carrier,
+                   np.stack([f.values for f in factors]))
+
+    def factor(self, k: int) -> ComplexProfile:
+        return ComplexProfile(self.grid, self.rows[k], self.carrier)
+
+    @functools.cached_property
+    def p_rows(self) -> np.ndarray:
+        rows = transform_rows(self.rows, self.grid, self.carrier, self.p_grid)
+        rows.setflags(write=False)
+        return rows
+
+
+@dataclass(frozen=True)
+class GridPlan:
+    """Every grid decision for one closed-form profile.
+
+    - The half-line grid of :func:`gamma`: 60 order-12 log panels across
+      (eps, L), or for ``inverse_q_plus_one`` the panel [0, 1e-10] and 68
+      order-10 log panels up to 1e10.
+    - The symmetric position grid about a center: a node budget of
+      order-4 panels up to n_target = 128, order 6 above.
+    - The momentum grid, bridged through its center and spanning
+      0.01/outer to 100/inner of the radial scales: a budget of
+      order-6 panels up to n_target = 128, then a fixed density of 8
+      order-8 panels per decade, which resolves the oscillatory tails of
+      the transforms near the reciprocal cutoffs (inner, outer) =
+      (eps, L), or (1e-3, 1e8) for ``inverse_q_plus_one``.
+
+    Both budgeted grids keep at least ``MIN_PANELS`` panels per side;
+    :attr:`min_n` is the smallest node target at which that floor does
+    not bind.
+    """
+
+    h: HProfile
+
+    def __post_init__(self):
+        if self.h.kind == "samples":
+            raise InvalidInputError("a samples profile has no grid plan; "
+                                    "states are built from closed-form profiles")
+
+    @property
+    def _momentum_span(self) -> Tuple[float, float]:
+        """0.01/outer to 100/inner of the profile's radial scales."""
+        inner, outer = ((self.h.eps, self.h.L) if self.h.kind == "cutoff_sqrt"
+                        else (1e-3, INV1_SCALE_MAX))
+        return 0.01 / outer, 100.0 / inner
+
+    def half_line(self) -> Grid1D:
+        if self.h.kind == "cutoff_sqrt":
+            return grid_from_edges(np.geomspace(self.h.eps, self.h.L, 61), 12)
+        return grid_from_edges(np.concatenate([[0.0], np.geomspace(1e-10, 1e10, 69)]), 10)
+
+    def _position_panels(self, n_target: int) -> Tuple[int, int]:
+        """(order, panels per side) before the floor."""
+        order = 4 if n_target <= 128 else 6
+        if self.h.kind == "cutoff_sqrt":
+            # the middle [-eps, eps] panel carries the zero gap and costs one
+            # panel of nodes, so budget it in
+            return order, (n_target - order) // (2 * order)
+        return order, n_target // (2 * order) - 2
+
+    def _momentum_panels(self, n_target: int) -> Tuple[int, int]:
+        """(order, panels per side) before the floor."""
+        if n_target > 128:
+            p_min, p_max = self._momentum_span
+            return 8, int(math.ceil(8.0 * math.log10(p_max / p_min)))
+        return 6, (n_target - 12) // 12
+
+    @property
+    def min_n(self) -> int:
+        return next(n for n in itertools.count(1)
+                    if min(self._position_panels(n)[1],
+                           self._momentum_panels(n)[1]) >= MIN_PANELS)
+
+    def position(self, n_target: int, center: float = 0.0) -> Grid1D:
+        order, panels = self._position_panels(n_target)
+        panels = max(MIN_PANELS, panels)
+        if self.h.kind == "cutoff_sqrt":
+            return symmetric_log_grid(self.h.eps, self.h.L, panels, order, center=center)
+        g = np.geomspace(1e-4, INV1_SCALE_MAX, panels + 1)
+        return grid_from_edges(center + np.concatenate([-g[::-1], [0.0], g]), order)
+
+    def momentum(self, n_target: int, center: float = 0.0) -> Grid1D:
+        order, panels = self._momentum_panels(n_target)
+        p_min, p_max = self._momentum_span
+        return symmetric_log_grid(p_min, p_max, max(MIN_PANELS, panels), order,
+                                  bridge=True, center=center)
+
+    @functools.lru_cache(maxsize=2)
+    def axis(self, n_target: int, center: float, carrier: float) -> Axis:
+        """The even extension f(q) = h(|q - center|)/sqrt(2), unit-norm on
+        the position grid, and its odd partner g = sgn(q - center) f, with
+        carrier ``carrier`` and the momentum grid centered on it.
+
+        f and g are exactly orthogonal by parity; ``center`` is a panel
+        edge, so the sign never straddles a panel.  Two entries are cached:
+        the two axes of one state, which share one entry when center and
+        carrier are both 0.
+        """
+        grid = self.position(n_target, center)
+        rel = grid.nodes - center
+        f = ComplexProfile(grid, (self.h.evaluate(np.abs(rel)) / math.sqrt(2.0)).astype(complex),
+                           carrier).normalized()
+        return Axis(grid, self.momentum(n_target, carrier), carrier,
+                    np.stack([f.values, np.sign(rel) * f.values]))
 
 
 def violation_threshold() -> float:
@@ -152,9 +259,9 @@ def min_expectation_over_lambda(gamma_value: float) -> float:
     return 0.5 - 0.25 * math.sqrt((1.0 + g2) ** 2 + 4.0 * g2)
 
 
-def gamma(h: HProfile, n_target: int = 720) -> float:
+def gamma(h: HProfile) -> float:
     """Quadratic form of the half-line kernel 1/(pi (q+q')) on the profile."""
-    prof = h.half_line_profile(n_target)
+    prof = h.half_line_profile()
     q, w = prof.grid.nodes, prof.grid.weights
     if q[0] < 0:
         raise InvalidInputError("profile grid must live on the half line")
@@ -168,61 +275,14 @@ def gamma(h: HProfile, n_target: int = 720) -> float:
 
 
 def build_fg(h: HProfile, n_target: int = 512) -> Tuple[ComplexProfile, ComplexProfile]:
-    """Even extension f(q) = h(|q|)/sqrt(2) and odd partner g = sgn(q) f.
+    """Even extension f(q) = h(|q|)/sqrt(2) and odd partner g = sgn(q) f on
+    the plan's symmetric position grid: the factors of an unshifted axis.
 
-    Both are unit-norm on the symmetric grid and exactly orthogonal by
-    parity; the grid excludes q = 0 so the sign is always well defined.
+    Both are unit-norm on the grid and exactly orthogonal by parity; the
+    grid excludes q = 0 so the sign is always well defined.
     """
-    grid = _symmetric_grid_for(h, n_target)
-    f_vals = (h.evaluate(np.abs(grid.nodes)) / math.sqrt(2.0)).astype(complex)
-    f = ComplexProfile(grid, f_vals).normalized()
-    g = ComplexProfile(grid, np.sign(grid.nodes) * f.values)
-    return f, g
-
-
-def _symmetric_grid_for(h: HProfile, n_target: int, center: float = 0.0) -> Grid1D:
-    if h.kind == "cutoff_sqrt":
-        # the middle [-eps, eps] panel carries the zero gap and costs one
-        # panel of nodes, so budget it in
-        order = 4 if n_target <= 128 else 6
-        panels = max(4, (n_target - order) // (2 * order))
-        return symmetric_log_grid(h.eps, h.L, panels, order, center=center)
-    if h.kind == "inverse_q_plus_one":
-        order = 4 if n_target <= 128 else 6
-        panels = max(4, n_target // (2 * order) - 2)
-        g = np.geomspace(1e-4, INV1_SCALE_MAX, panels + 1)
-        edges = np.concatenate([-g[::-1], [0.0], g])
-        return grid_from_edges(center + edges, order)
-    half = h.profile.grid
-    if half.panel_edges is None:
-        raise InvalidInputError("sample profiles need a panel-structured grid")
-    edges = half.panel_edges
-    if edges[0] < 0:
-        raise InvalidInputError("sample profile grid must live on the half line")
-    lo = edges[0]
-    full = np.concatenate([-edges[::-1], edges]) if lo > 0 else np.concatenate(
-        [-edges[::-1][:-1], edges])
-    return grid_from_edges(center + full, half.panel_order)
-
-
-def momentum_grid_for(h: HProfile, n_target: int = 512, center: float = 0.0) -> Grid1D:
-    """Reciprocal momentum grid matched to the profile's radial scales.
-
-    Above ~128 target nodes the grid switches from a fixed node budget
-    to a fixed density of 8 order-8 panels per decade, which resolves the
-    oscillatory tails of the transforms near the reciprocal cutoffs.
-    """
-    inner, outer = h.support()
-    p_min = 0.01 / outer
-    p_max = 100.0 / inner
-    if n_target > 128:
-        order = 8
-        decades = math.log10(p_max / p_min)
-        panels = max(8, int(math.ceil(8.0 * decades)))
-    else:
-        order = 6
-        panels = max(4, (n_target - 2 * order) // (2 * order))
-    return symmetric_log_grid(p_min, p_max, panels, order, bridge=True, center=center)
+    axis = GridPlan(h).axis(n_target, 0.0, 0.0)
+    return axis.factor(0), axis.factor(1)
 
 
 def chi_expectation(
@@ -258,11 +318,13 @@ def _is_even_profile(f: ComplexProfile, tol: float = 1e-10) -> bool:
 
 
 def chi_prime_cross(f: ComplexProfile) -> complex:
-    """Momentum-side interference term between f and its odd partner.
+    """Momentum-side interference term between a real even profile f and
+    its odd partner g = sgn(q) f.
 
-    For real f the principal-value part cancels by symmetry and the value
-    is -i gamma / 2; complex f evaluates both kernel terms, the singular
-    one through pv_integrate on the interpolated profile.
+    This is the paper's statement that the term equals -i gamma / 2 for
+    real even profiles: the principal-value part cancels by symmetry,
+    leaving the half-line kernel 1/(pi (q+q')).  Complex profiles are
+    rejected.
     """
     if f.carrier != 0.0:
         raise InvalidInputError("carrier-modulated profiles are not even")
@@ -272,36 +334,12 @@ def chi_prime_cross(f: ComplexProfile) -> complex:
     pos = nodes > 0
     q, w = nodes[pos], f.grid.weights[pos]
     fv = f.values[pos]
+    if np.max(np.abs(fv.imag)) > 1e-12 * max(np.max(np.abs(fv.real)), 1e-300):
+        raise InvalidInputError("profile must be real")
 
     plus_kernel = 1.0 / (q[:, None] + q[None, :])
     plus = (w * np.conj(fv)) @ plus_kernel @ (w * fv)
-
-    if np.max(np.abs(fv.imag)) <= 1e-12 * max(np.max(np.abs(fv.real)), 1e-300):
-        return complex(-1j / np.pi * plus)
-
-    # complex profile: add the principal-value term via the interpolant
-    half_edges = f.grid.panel_edges[f.grid.panel_edges >= 0]
-    half_grid = grid_from_edges(half_edges, f.grid.panel_order) if len(half_edges) >= 2 \
-        else None
-    if half_grid is None:
-        raise InvalidInputError("profile grid has no half-line panels")
-
-    def re_f(x):
-        return f.interp(x).real
-
-    def im_f(x):
-        return f.interp(x).imag
-
-    pv_vals = np.empty(len(q), dtype=complex)
-    lo, hi = half_edges[0], half_edges[-1]
-    for i, c in enumerate(q):
-        if not (lo < c < hi):
-            pv_vals[i] = 0.0
-            continue
-        pv_vals[i] = pv_integrate(re_f, c, half_grid) + 1j * pv_integrate(im_f, c, half_grid)
-    # inner PV of f(q')/(q - q') = -PV of f(q')/(q' - q)
-    minus = np.sum(w * np.conj(fv) * (-pv_vals))
-    return complex(-1j / np.pi * (plus - minus))
+    return complex(-1j / np.pi * plus)
 
 
 @dataclass(frozen=True)
@@ -311,18 +349,20 @@ class Term:
     factor2: ComplexProfile
 
 
-@dataclass
+@dataclass(frozen=True)
 class WaveFunction2:
     """Two-particle state as a weighted sum of product terms.
 
-    All first factors share one grid and all second factors another.
-    ``p1_grid``/``p2_grid`` are optional preferred momentum grids used by
-    the marginal pipeline when the caller does not supply any.
+    All first factors share one grid and carrier, and all second factors
+    another.  ``p1_grid``/``p2_grid`` are the momentum grids of the two
+    axes; :func:`~phaselab.marginal.quantum_marginals` needs both.
     """
 
     terms: list
     p1_grid: Optional[Grid1D] = None
     p2_grid: Optional[Grid1D] = None
+    _axes: Optional[Tuple[Axis, Axis]] = field(default=None, init=False, repr=False,
+                                               compare=False)
 
     def __post_init__(self):
         if not self.terms:
@@ -335,6 +375,25 @@ class WaveFunction2:
             if (t.factor1.carrier != first.factor1.carrier
                     or t.factor2.carrier != first.factor2.carrier):
                 raise InvalidInputError("all terms must share the per-axis carriers")
+
+    @classmethod
+    def from_axes(cls, coefficients, axis1: Axis, axis2: Axis) -> "WaveFunction2":
+        """The state sum_k coefficients[k] * axis1 row k (x) axis2 row k."""
+        state = cls([Term(c, axis1.factor(k), axis2.factor(k))
+                     for k, c in enumerate(coefficients)], axis1.p_grid, axis2.p_grid)
+        object.__setattr__(state, "_axes", (axis1, axis2))
+        return state
+
+    @property
+    def axes(self) -> Tuple[Axis, Axis]:
+        """The two axes with their factor rows; a state not made by
+        :meth:`from_axes` forms them from its terms."""
+        if self._axes is not None:
+            return self._axes
+        if self.p1_grid is None or self.p2_grid is None:
+            raise InvalidInputError("state needs p1_grid and p2_grid for its momentum axes")
+        return (Axis.from_factors([t.factor1 for t in self.terms], self.p1_grid),
+                Axis.from_factors([t.factor2 for t in self.terms], self.p2_grid))
 
     @property
     def grid1(self) -> Grid1D:
@@ -391,35 +450,22 @@ def build_psi(params: ViolationParams, n_target: int = 512) -> WaveFunction2:
     """Two-term product-sum state (phi + lambda varphi)/sqrt(1+|lambda|^2).
 
     Axis 1 carries (f, g); axis 2 carries the same pair shifted by
-    ``shift`` and boosted by ``boost``; exact normalization is enforced
-    on the grid.
+    ``shift`` and boosted by ``boost``, the boost riding as a symbolic
+    carrier so wide log panels stay exact.  Both axes come from the
+    profile's :class:`GridPlan`, so states that differ only in lambda share
+    them.  Exact normalization is enforced on the grid.
     """
-    h = params.h
-    f1, g1 = build_fg(h, n_target)
-
-    # the boost rides as a symbolic carrier so wide log panels stay exact
-    grid2 = _symmetric_grid_for(h, n_target, center=params.shift)
-    rel = grid2.nodes - params.shift
-    f2_vals = (h.evaluate(np.abs(rel)) / math.sqrt(2.0)).astype(complex)
-    f2 = ComplexProfile(grid2, f2_vals, carrier=params.boost).normalized()
-    g2 = ComplexProfile(grid2, np.sign(rel) * f2.values, carrier=params.boost)
-
+    plan = GridPlan(params.h)
+    axis1 = plan.axis(n_target, 0.0, 0.0)
+    axis2 = plan.axis(n_target, params.shift, params.boost)
     lam = params.lam
     denom = math.sqrt(1.0 + abs(lam) ** 2)
-    state = WaveFunction2(
-        terms=[
-            Term(1.0 / denom, f1, f2),
-            Term(lam / denom, g1, g2),
-        ],
-        p1_grid=momentum_grid_for(h, n_target, center=0.0),
-        p2_grid=momentum_grid_for(h, n_target, center=params.boost),
-    )
-    n = state.norm_sq()
+    coef = [1.0 / denom, lam / denom]
+    n = WaveFunction2.from_axes(coef, axis1, axis2).norm_sq()
     if abs(n - 1.0) > 1e-12:
         scale = 1.0 / math.sqrt(n)
-        state.terms = [Term(t.coefficient * scale, t.factor1, t.factor2)
-                       for t in state.terms]
-    return state
+        coef = [c * scale for c in coef]
+    return WaveFunction2.from_axes(coef, axis1, axis2)
 
 
 def _witness_matches(params: ViolationParams, witness: BellWitness) -> bool:
@@ -447,13 +493,8 @@ def p_hat_expectation_closed(
     return 0.5 - rho / (2.0 * (1.0 + rho * rho)) * bracket
 
 
-def p_hat_expectation_grid(
-    psi: WaveFunction2,
-    witness: BellWitness,
-    p1_grid: Optional[Grid1D] = None,
-    p2_grid: Optional[Grid1D] = None,
-) -> float:
+def p_hat_expectation_grid(psi: WaveFunction2, witness: BellWitness) -> float:
     """Grid-pipeline expectation: marginals of the state, then the Bell
     functional, then the affine map back to the projector expectation."""
-    quartet = quantum_marginals(psi, p1_grid=p1_grid, p2_grid=p2_grid)
+    quartet = quantum_marginals(psi)
     return p_expectation_from_quartet(quartet, witness)

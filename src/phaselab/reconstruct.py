@@ -230,6 +230,7 @@ class PhaseSpaceDensity:
     sigma12: np.ndarray
     diagnostics: dict = field(default_factory=dict)
     _dense: Optional[np.ndarray] = None
+    _marginals: Optional[tuple] = None
 
     @property
     def grids(self):
@@ -259,7 +260,15 @@ class PhaseSpaceDensity:
         return self._dense
 
     def marginals(self):
-        """Chain marginals in product form (no N^4 work)."""
+        """Chain marginals in product form (no N^4 work), computed once
+        and returned read-only."""
+        if self._marginals is None:
+            self._marginals = self._chain_marginals()
+            for m in self._marginals:
+                m.setflags(write=False)
+        return self._marginals
+
+    def _chain_marginals(self):
         inv01, inv12 = self._inv_parents()
         s0 = self.chain.s0 * self.mask.sigma0
         s1 = self.chain.s1 * self.mask.sigma1

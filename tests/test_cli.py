@@ -1,10 +1,15 @@
+import csv
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from phaselab.cli import run
+from phaselab.reconstruct import PhaseSpaceDensity
+
+DATA = Path(__file__).parent / "data"
 
 
 def read_json(path):
@@ -92,6 +97,42 @@ class TestNodeTarget:
         assert run(command + ["--n", n]) == 1
         assert "--n" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [["violate", "scan"], ["quartet", "from-psi"]])
+    @pytest.mark.parametrize("n", ["1", "59"])
+    def test_n_below_panel_floor_rejected(self, command, n, capsys):
+        # below n = 60 a panel floor would silently replace the node target
+        assert run(command + ["--n", n]) == 1
+        assert "at least 60" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["violate", "scan"], ["quartet", "from-psi"]])
+    def test_n_at_minimum_accepted(self, command, tmp_path):
+        assert run(command + ["--n", "60", "--out", str(tmp_path / "out")]) == 0
+
+
+def _scan_rows(text):
+    return list(csv.reader(text.splitlines()))
+
+
+class TestScanGolden:
+    """``violate scan`` output against CSVs written by an earlier version:
+    rho and theta exactly, the computed fields to 1e-12 relative, so that
+    other BLAS builds pass too."""
+
+    @pytest.mark.parametrize("args, golden", [
+        ([], "violate_scan_default.csv"),
+        (["--a", "0.3", "--boost", "0.2"], "violate_scan_a0.3_boost0.2.csv"),
+    ])
+    def test_matches_golden(self, args, golden, tmp_path):
+        out = tmp_path / "scan.csv"
+        assert run(["violate", "scan", *args, "--out", str(out)]) == 0
+        got = _scan_rows(out.read_text())
+        want = _scan_rows((DATA / golden).read_text())
+        assert got[0] == want[0] and len(got) == len(want)
+        for g, w in zip(got[1:], want[1:]):
+            assert g[:2] == w[:2]
+            assert [float(x) for x in g[2:]] == pytest.approx(
+                [float(x) for x in w[2:]], rel=1e-12, abs=0)
+
 
 @pytest.fixture(scope="module")
 def artifacts(tmp_path_factory):
@@ -147,6 +188,19 @@ class TestQuartetReconstructDemo:
                     "--witness", str(wpath), "--relative-tol", "--tol", "0.05",
                     "--out", str(out)]) == 0
         assert read_json(out)["bell_sum"] > 2.0
+
+    def test_chain_marginals_once_per_density(self, artifacts, tmp_path, monkeypatch):
+        # demo builds one density per 3-subset, reconstruct one base; each
+        # reads its chain marginals for the round-trip defects and the mass
+        calls = []
+        compute = PhaseSpaceDensity._chain_marginals
+        monkeypatch.setattr(PhaseSpaceDensity, "_chain_marginals",
+                            lambda self: calls.append(self) or compute(self))
+        assert run(["demo", "--quartet", str(artifacts["quartet"]), "--tol", "0.05",
+                    "--out", str(tmp_path / "demo.json")]) == 0
+        assert run(["reconstruct", "--triplet", str(artifacts["triplet"]),
+                    "--out", str(tmp_path / "rec.json")]) == 0
+        assert len(calls) == 5 and len(set(map(id, calls))) == 5
 
     def test_demo_inconsistent_exit_code(self, artifacts):
         code = run(["demo", "--quartet", str(artifacts["quartet"]),

@@ -23,6 +23,7 @@ from phaselab.marginal import (
 )
 from phaselab.quad import ComplexProfile, build_panels, fourier_matrix
 from phaselab.quantum import (
+    GridPlan,
     HProfile,
     Term,
     ViolationParams,
@@ -171,6 +172,12 @@ class TestQuantumMarginals:
         with pytest.raises(InvalidInputError):
             quantum_marginals(bad)
 
+    def test_rejects_state_without_momentum_grids(self):
+        psi = gaussian_state()
+        bare = WaveFunction2(psi.terms)
+        with pytest.raises(InvalidInputError, match="p1_grid"):
+            quantum_marginals(bare)
+
 
 class TestRepresentationAgreement:
     def test_smoothed_atoms_approach_atomic_consistency(self):
@@ -235,8 +242,8 @@ def _planes(quartet):
 
 
 def _cold_planes(params, n_target):
-    """The state's marginals computed with the transform cache emptied."""
-    quad._transform_cache.clear()
+    """The state's marginals computed with the axis cache emptied."""
+    GridPlan.axis.cache_clear()
     return _planes(quantum_marginals(build_psi(params, n_target=n_target)))
 
 
@@ -244,11 +251,11 @@ class TestTransformCache:
     H = HProfile.cutoff_sqrt(1e-2, 1e2)
 
     def teardown_method(self):
-        quad._transform_cache.clear()
+        GridPlan.axis.cache_clear()
 
     def test_scan_matches_cold_computation(self, monkeypatch):
         lattice = [(0.5, -2.0), (1.0, 0.3), (1.7, 1.1), (1.0, 0.3), (2.0, 2.3)]
-        quad._transform_cache.clear()
+        GridPlan.axis.cache_clear()
         calls = []
         monkeypatch.setattr(quad, "fourier_matrix", lambda *a, **k: calls.append(a)
                             or fourier_matrix(*a, **k))
@@ -271,7 +278,7 @@ class TestTransformCache:
             (ViolationParams(h=HProfile.cutoff_sqrt(1e-3, 1e3), rho=1.2, theta=0.4), 64),
             (ViolationParams(h=HProfile.inverse_q_plus_one(), rho=1.2, theta=0.4), 64),
         ]
-        quad._transform_cache.clear()
+        GridPlan.axis.cache_clear()
         warm = [_planes(quantum_marginals(build_psi(p, n_target=n))) for p, n in states]
         # each state is looked up with the previous state's entries cached;
         # the second round also puts the last state before the first
@@ -279,6 +286,14 @@ class TestTransformCache:
         cold = [_cold_planes(p, n) for p, n in states] * 2
         for got, want in zip(warm, cold):
             assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+    def test_rows_are_read_only(self):
+        psi = build_psi(ViolationParams(h=self.H, shift=0.3, boost=0.2), n_target=64)
+        for axis in psi.axes:
+            for rows in (axis.rows, axis.p_rows):
+                assert not rows.flags.writeable
+                with pytest.raises(ValueError):
+                    rows[0, 0] = 0.0
 
 
 def _planes_of(quartet):

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from phaselab import quad
 from phaselab.errors import InvalidInputError
 from phaselab.quad import (
     ComplexProfile,
@@ -11,7 +10,6 @@ from phaselab.quad import (
     fourier_matrix,
     integrate,
     integrate_values,
-    pv_integrate,
     symmetric_log_grid,
     transform_rows,
 )
@@ -103,42 +101,6 @@ class TestIntegrate:
         assert psi.norm_sq() == pytest.approx(1.0, abs=1e-10)
 
 
-class TestPrincipalValue:
-    def test_odd_symmetry(self):
-        g = build_panels([-1.0, 1.0], order=8, subdiv=8)
-        assert pv_integrate(lambda x: np.ones_like(x), 0.0, g) == pytest.approx(0.0, abs=1e-12)
-
-    def test_symmetric_about_interior_point(self):
-        g = build_panels([0.0, 2.0], order=8, subdiv=8)
-        assert pv_integrate(lambda x: np.ones_like(x), 1.0, g) == pytest.approx(0.0, abs=1e-10)
-
-    def test_linear_numerator(self):
-        # PV int_0^2 x/(x-1) dx = [x + ln|x-1|]_0^2 = 2
-        g = build_panels([0.0, 2.0], order=8, subdiv=8)
-        assert pv_integrate(lambda x: x, 1.0, g) == pytest.approx(2.0, abs=1e-8)
-
-    def test_asymmetric_window(self):
-        # PV int_0^3 x/(x-1) dx = 3 + ln 2
-        g = build_panels([0.0, 3.0], order=10, subdiv=10)
-        assert pv_integrate(lambda x: x, 1.0, g) == pytest.approx(3.0 + np.log(2.0), abs=1e-8)
-
-    def test_smooth_at_singularity_matches_plain_quadrature(self):
-        # f(x) = (x - c) * g(x) removes the pole analytically
-        g = build_panels([0.0, 2.0], order=10, subdiv=10)
-        c = 0.75
-        poly = lambda x: x ** 3 - 2 * x + 0.5
-        pv = pv_integrate(lambda x: (x - c) * poly(x), c, g)
-        plain = integrate_values(g, poly(g.nodes)).real
-        assert pv == pytest.approx(plain, abs=1e-8)
-
-    def test_rejects_boundary_singularity(self):
-        g = build_panels([0.0, 1.0], order=4)
-        with pytest.raises(InvalidInputError):
-            pv_integrate(lambda x: x, 0.0, g)
-        with pytest.raises(InvalidInputError):
-            pv_integrate(lambda x: x, 1.5, g)
-
-
 class TestFourier:
     def setup_method(self):
         self.q = build_panels([-12.0, 12.0], order=10, subdiv=20)
@@ -190,14 +152,10 @@ class TestFourier:
 
 class TestTransformRows:
     def setup_method(self):
-        quad._transform_cache.clear()
         self.q = build_panels([-8.0, 0.0, 8.0], order=6, subdiv=4)
         self.p = build_panels([-6.0, 0.0, 6.0], order=6, subdiv=4)
         rng = np.random.default_rng(3)
         self.rows = rng.normal(size=(2, len(self.q))) + 1j * rng.normal(size=(2, len(self.q)))
-
-    def teardown_method(self):
-        quad._transform_cache.clear()
 
     def test_miss_equals_matrix_product(self):
         got = transform_rows(self.rows, self.q, 0.0, self.p)
@@ -208,30 +166,5 @@ class TestTransformRows:
         shifted = Grid1D(self.p.nodes - c, self.p.weights)
         got = transform_rows(self.rows, self.q, c, self.p)
         assert np.array_equal(got, self.rows @ fourier_matrix(self.q, shifted, -1).T)
-        # the carrier-free entry is a different one
+        # and differs from the carrier-free transform
         assert not np.array_equal(got, transform_rows(self.rows, self.q, 0.0, self.p))
-
-    def test_hit_is_keyed_by_content_not_identity(self, monkeypatch):
-        first = transform_rows(self.rows, self.q, 0.0, self.p)
-        calls = []
-        monkeypatch.setattr(quad, "fourier_matrix",
-                            lambda *a, **k: calls.append(a) or fourier_matrix(*a, **k))
-        q_copy = Grid1D.from_json(self.q.to_json())
-        again = transform_rows(self.rows.copy(), q_copy, 0.0, Grid1D.from_json(self.p.to_json()))
-        assert calls == [] and again is first
-        transform_rows(self.rows[::-1].copy(), self.q, 0.0, self.p)
-        transform_rows(self.rows, self.q, 0.0, self.p, sign=+1)
-        assert len(calls) == 2
-
-    def test_rows_are_read_only(self):
-        got = transform_rows(self.rows, self.q, 0.0, self.p)
-        assert not got.flags.writeable
-        with pytest.raises(ValueError):
-            got[0, 0] = 0.0
-        assert not transform_rows(self.rows, self.q, 0.0, self.p).flags.writeable
-
-    def test_entry_count_stays_at_cap(self):
-        cap = quad._TRANSFORM_CACHE_SIZE
-        for k in range(cap + 3):
-            transform_rows(self.rows * (k + 1), self.q, 0.0, self.p)
-            assert len(quad._transform_cache) == min(k + 1, cap)

@@ -8,6 +8,7 @@ from phaselab.errors import InvalidInputError
 from phaselab.kop import gamma_cutoff_closed_form
 from phaselab.quad import ComplexProfile, build_panels, fourier, grid_from_edges
 from phaselab.quantum import (
+    GridPlan,
     HProfile,
     Term,
     ViolationParams,
@@ -19,7 +20,6 @@ from phaselab.quantum import (
     chi_prime_cross,
     gamma,
     min_expectation_over_lambda,
-    momentum_grid_for,
     p_hat_expectation_closed,
     p_hat_expectation_grid,
     violation_threshold,
@@ -49,6 +49,35 @@ class TestProfiles:
             HProfile.cutoff_sqrt(2.0, 1.0)
 
 
+class TestGridPlan:
+    @pytest.mark.parametrize("h, n, nodes", [
+        (HProfile.cutoff_sqrt(1e-6, 1e6), 64, (60, 60)),
+        (HProfile.cutoff_sqrt(1e-6, 1e6), 256, (246, 2064)),
+        (HProfile.cutoff_sqrt(1e-6, 1e6), 512, (510, 2064)),
+        (HProfile.cutoff_sqrt(1e-6, 1e6), 1024, (1014, 2064)),
+        (HProfile.cutoff_sqrt(1e-2, 1e2), 256, (246, 1040)),
+        (INV1, 64, (56, 60)),
+        (INV1, 256, (240, 1936)),
+        (INV1, 1024, (1008, 1936)),
+    ])
+    def test_node_counts(self, h, n, nodes):
+        plan = GridPlan(h)
+        assert (len(plan.position(n)), len(plan.momentum(n))) == nodes
+
+    @pytest.mark.parametrize("h", [INV1, HProfile.cutoff_sqrt(1e-2, 1e2)])
+    def test_min_n_is_where_the_panel_floor_stops_binding(self, h):
+        plan = GridPlan(h)
+        assert plan.min_n == 60
+        # below the minimum the floor keeps a 60-node momentum grid
+        assert len(plan.momentum(plan.min_n - 1)) == len(plan.momentum(plan.min_n)) == 60
+
+    def test_samples_profile_has_no_plan(self):
+        grid = grid_from_edges(np.geomspace(1e-3, 1e3, 25), order=6)
+        prof = ComplexProfile(grid, np.exp(-np.log(grid.nodes) ** 2) + 0j).normalized()
+        with pytest.raises(InvalidInputError):
+            GridPlan(HProfile.samples(prof))
+
+
 class TestBuildFG:
     @pytest.mark.parametrize("h", [INV1, HProfile.cutoff_sqrt(1e-2, 1e2)])
     def test_norms_and_orthogonality(self, h):
@@ -69,7 +98,7 @@ class TestBuildFG:
     def test_momentum_expectations_are_half(self):
         h = HProfile.cutoff_sqrt(1e-2, 1e2)
         f, g = build_fg(h, n_target=512)
-        p_grid = momentum_grid_for(h, n_target=512)
+        p_grid = GridPlan(h).momentum(512)
         for prof in (f, g):
             val = chi_expectation(prof, HALF_LINE, "momentum", p_grid=p_grid)
             assert val == pytest.approx(0.5, abs=1e-6)
@@ -142,29 +171,22 @@ class TestChiPrimeCross:
         h = HProfile.cutoff_sqrt(1e-2, 1e2)
         f, g = build_fg(h, n_target=512)
         val = chi_prime_cross(f)
-        p_grid = momentum_grid_for(h, n_target=512)
+        p_grid = GridPlan(h).momentum(512)
         ft = fourier(f, p_grid, -1)
         gt = fourier(g, p_grid, -1)
         pos = p_grid.nodes > 0
         oracle = np.sum(p_grid.weights[pos] * np.conj(ft.values[pos]) * gt.values[pos])
         assert val == pytest.approx(complex(oracle), abs=1e-3)
 
-    def test_complex_profile_momentum_oracle(self):
+    def test_complex_profile_rejected(self):
         edges = np.concatenate([-np.linspace(6.0, 0.5, 23), np.linspace(0.5, 6.0, 23)])
         grid = grid_from_edges(edges, order=8)
         x = grid.nodes
         env = np.exp(-2.0 * (np.abs(x) - 3.0) ** 2)
         chirp = np.exp(0.4j * (np.abs(x) - 3.0) ** 2)
         f = ComplexProfile(grid, env * chirp).normalized()
-        val = chi_prime_cross(f)
-
-        g = ComplexProfile(grid, np.sign(x) * f.values)
-        p_grid = build_panels([-40.0, 0.0, 40.0], order=8, subdiv=30)
-        ft = fourier(f, p_grid, -1)
-        gt = fourier(g, p_grid, -1)
-        pos = p_grid.nodes > 0
-        oracle = np.sum(p_grid.weights[pos] * np.conj(ft.values[pos]) * gt.values[pos])
-        assert val == pytest.approx(complex(oracle), abs=1e-6)
+        with pytest.raises(InvalidInputError, match="real"):
+            chi_prime_cross(f)
 
     def test_rejects_uneven_profile(self):
         grid = build_panels([-1.0, 0.0, 1.0], order=4, subdiv=4)
