@@ -118,8 +118,7 @@ class BellWitness:
 
 def _plane_term(m: Marginal2D, reg_a: Region, reg_b: Region, negate: bool) -> float:
     if m.is_gridded:
-        val = m.integrate(reg_a.sign(m.grid1.nodes) * m.grid1.weights,
-                          reg_b.sign(m.grid2.nodes) * m.grid2.weights)
+        val = m.signed_integral(reg_a, reg_b)
     else:
         sa = reg_a.sign(m.atoms[:, 0])
         sb = reg_b.sign(m.atoms[:, 1])

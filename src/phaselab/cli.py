@@ -118,6 +118,8 @@ def _parse_grid(spec: str):
         raise click.UsageError(f"grid spec must be lo:hi:n, got {spec!r}") from exc
     if n < 1:
         raise click.UsageError("grid spec needs n >= 1")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise click.UsageError(f"grid spec ends must be finite, got {spec!r}")
     return np.linspace(lo, hi, n)
 
 

@@ -8,7 +8,7 @@ carries: QQ = (q1, q2), QP = (q1, p2), PQ = (p1, q2), PP = (p1, p2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING, Optional
 
@@ -23,6 +23,7 @@ if TYPE_CHECKING:
 __all__ = [
     "PlaneLabel",
     "ProductSum",
+    "node_gram",
     "Marginal2D",
     "QuartetProblem",
     "TripletProblem",
@@ -49,6 +50,19 @@ class PlaneLabel(Enum):
         return self.value
 
 
+def _signed_weights(grid: Grid1D, region=None) -> np.ndarray:
+    """The grid's quadrature weights, times the region's sign function on
+    the nodes when a region is given."""
+    return grid.weights if region is None else region.sign(grid.nodes) * grid.weights
+
+
+def node_gram(rows: np.ndarray, grid: Grid1D, region=None) -> np.ndarray:
+    """K x K Gram matrix ``conj(rows) diag(w) rows^T`` of rows (K, N) on a
+    grid's nodes, w the quadrature weights signed by ``region`` (a
+    :class:`~phaselab.bell.Region`) when one is given."""
+    return (rows.conj() * _signed_weights(grid, region)) @ rows.T
+
+
 @dataclass(frozen=True)
 class ProductSum:
     """Product-sum amplitude ``sum_k coef[k] * u[k](x) * v[k](y)`` on the
@@ -56,13 +70,17 @@ class ProductSum:
     rows u (K, N1) and axis-2 rows v (K, N2).
 
     :meth:`density` is the one place the N1 x N2 density
-    ``|sum_k c_k u_k (x) v_k|^2`` is formed; :meth:`form` integrates it
-    against separable node weights without forming it.
+    ``|sum_k c_k u_k (x) v_k|^2`` is formed; :meth:`signed_form`
+    integrates it against region-signed quadrature weights without
+    forming it.  ``sources``, set by :meth:`of_axes`, records the
+    :class:`~phaselab.quantum.Axis` and side (``"q"`` or ``"p"``) that u
+    and v come from, so their Gram matrices come from the axis's memo.
     """
 
     coef: np.ndarray
     u: np.ndarray
     v: np.ndarray
+    sources: Optional[tuple] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         coef, u, v = np.asarray(self.coef), np.asarray(self.u), np.asarray(self.v)
@@ -81,16 +99,31 @@ class ProductSum:
                    np.stack([t.factor1.values for t in terms]),
                    np.stack([t.factor2.values for t in terms]))
 
+    @classmethod
+    def of_axes(cls, coef, source1, source2) -> "ProductSum":
+        """Amplitude on the rows of two ``(axis, side)`` sources."""
+        (axis1, side1), (axis2, side2) = source1, source2
+        return cls(coef, axis1.rows_on(side1)[1], axis2.rows_on(side2)[1], (source1, source2))
+
     def density(self) -> np.ndarray:
         amp = np.einsum("k,ki,kj->ij", self.coef, self.u, self.v, optimize=True)
         return np.abs(amp) ** 2
 
-    def form(self, wa, wb) -> float:
-        """``wa @ density() @ wb`` as the K x K quadratic form
-        ``c^H (A o B) c`` with Gram matrices ``A = conj(u) diag(wa) u^T``
-        and ``B = conj(v) diag(wb) v^T``: O(K^2 (N1 + N2)) work."""
-        gram_a = (self.u.conj() * wa) @ self.u.T
-        gram_b = (self.v.conj() * wb) @ self.v.T
+    def _gram(self, which: int, grid: Grid1D, region) -> np.ndarray:
+        if self.sources is not None:
+            axis, side = self.sources[which]
+            if axis.rows_on(side)[0].same_as(grid):
+                return axis.gram(side, region)
+        return node_gram(self.v if which else self.u, grid, region)
+
+    def signed_form(self, grid1: Grid1D, grid2: Grid1D, reg1=None, reg2=None) -> float:
+        """``w1 @ density() @ w2`` for the quadrature weights of the two
+        grids, each signed by its region when one is given, as the K x K
+        quadratic form ``c^H (A o B) c`` of the Gram matrices
+        (:func:`node_gram`) of u and v: O(K^2 (N1 + N2)) work, or O(K^2)
+        with both Grams in an axis memo."""
+        gram_a = self._gram(0, grid1, reg1)
+        gram_b = self._gram(1, grid2, reg2)
         return float((self.coef.conj() @ (gram_a * gram_b) @ self.coef).real)
 
 
@@ -102,8 +135,8 @@ class Marginal2D:
     onto the grids, is the density) or ``atoms`` (rows ``(x, y, weight)``)
     is given.  A product-sum plane stays in that form until ``values`` is
     read: the dense density is formed and checked then, once, and cached.
-    :meth:`integrate` and :meth:`mass` use the product-sum form whenever
-    it is present, so they never form the dense plane.
+    :meth:`signed_integral` and :meth:`mass` use the product-sum form
+    whenever it is present, so they never form the dense plane.
     """
 
     def __init__(self, plane: PlaneLabel, grid1: Optional[Grid1D] = None,
@@ -130,7 +163,7 @@ class Marginal2D:
         if amplitude is not None:
             if (amplitude.u.shape[1], amplitude.v.shape[1]) != (len(grid1), len(grid2)):
                 raise InvalidInputError("product-sum rows must match the axis grids")
-            raw_mass = amplitude.form(grid1.weights, grid2.weights)
+            raw_mass = amplitude.signed_form(grid1, grid2)
             if not raw_mass > 0:
                 raise InvalidInputError(f"product-sum plane has non-positive mass {raw_mass!r}")
             object.__setattr__(self, "_raw_mass", raw_mass)
@@ -171,16 +204,18 @@ class Marginal2D:
     def is_gridded(self) -> bool:
         return self.atoms is None
 
-    def integrate(self, w1, w2) -> float:
-        """``w1 @ density @ w2`` for node weights w1, w2 of a gridded plane
-        (include the quadrature weights in them)."""
+    def signed_integral(self, reg1=None, reg2=None) -> float:
+        """Integral of a gridded plane's density times the sign functions
+        of ``reg1`` on axis 1 and ``reg2`` on axis 2 (1 where no region is
+        given); a product-sum plane uses its Gram form."""
         if self.amplitude is not None:
-            return self.amplitude.form(w1, w2) / self._raw_mass
-        return float(w1 @ self.values @ w2)
+            return self.amplitude.signed_form(self.grid1, self.grid2, reg1, reg2) / self._raw_mass
+        return float(_signed_weights(self.grid1, reg1) @ self.values
+                     @ _signed_weights(self.grid2, reg2))
 
     def mass(self) -> float:
         if self.is_gridded:
-            return self.integrate(self.grid1.weights, self.grid2.weights)
+            return self.signed_integral()
         return float(self.atoms[:, 2].sum())
 
     @classmethod
@@ -415,7 +450,8 @@ def quantum_marginals(psi: "WaveFunction2") -> QuartetProblem:
     rows directly.  The rows and their transforms come from the state's
     axes (:attr:`~phaselab.quantum.WaveFunction2.axes`), which states
     built by :func:`~phaselab.quantum.build_psi` share across lambda, so
-    a (rho, theta) scan transforms its factors once.
+    a (rho, theta) scan transforms its factors, and forms their Gram
+    matrices and inner products, once per axis.
     """
     nrm = psi.norm_sq()
     if abs(nrm - 1.0) > STATE_NORM_TOL:
@@ -423,15 +459,14 @@ def quantum_marginals(psi: "WaveFunction2") -> QuartetProblem:
             f"state norm^2 = {nrm!r} deviates from 1 beyond {STATE_NORM_TOL}")
 
     ax1, ax2 = psi.axes
-    g1, g2, p1, p2 = ax1.grid, ax2.grid, ax1.p_grid, ax2.p_grid
     c = np.array([t.coefficient for t in psi.terms])
-    a, b, at, bt = ax1.rows, ax2.rows, ax1.p_rows, ax2.p_rows
-    return QuartetProblem(
-        Marginal2D(PlaneLabel.QQ, g1, g2, amplitude=ProductSum(c, a, b)),
-        Marginal2D(PlaneLabel.QP, g1, p2, amplitude=ProductSum(c, a, bt)),
-        Marginal2D(PlaneLabel.PQ, p1, g2, amplitude=ProductSum(c, at, b)),
-        Marginal2D(PlaneLabel.PP, p1, p2, amplitude=ProductSum(c, at, bt)),
-    )
+
+    def plane(label: PlaneLabel) -> Marginal2D:
+        side1, side2 = (var[0] for var in label.axis_vars)
+        return Marginal2D(label, ax1.rows_on(side1)[0], ax2.rows_on(side2)[0],
+                          amplitude=ProductSum.of_axes(c, (ax1, side1), (ax2, side2)))
+
+    return QuartetProblem(*(plane(label) for label in PlaneLabel))
 
 
 def counterexample_quartet(a1, a2, a1p, a2p, b1, b2, b1p, b2p) -> QuartetProblem:

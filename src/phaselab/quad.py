@@ -76,6 +76,8 @@ class Grid1D:
 
     def same_as(self, other: "Grid1D", tol: float = 0.0) -> bool:
         """Same nodes and weights: exactly, or to ``tol`` in absolute value."""
+        if other is self:
+            return True
         if len(self) != len(other):
             return False
         if tol == 0.0:

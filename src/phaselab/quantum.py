@@ -26,7 +26,7 @@ import numpy as np
 
 from .bell import BellWitness, Region, p_expectation_from_quartet
 from .errors import InvalidInputError, NumericalError
-from .marginal import ProductSum, quantum_marginals
+from .marginal import ProductSum, node_gram, quantum_marginals
 from .quad import (
     ComplexProfile,
     Grid1D,
@@ -60,6 +60,12 @@ INV1_SCALE_MAX = 1e8
 MIN_PANELS = 4
 
 
+def _require_finite(**values):
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise InvalidInputError(f"{name} must be finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class HProfile:
     """Normalized radial profile on the half line.
@@ -78,7 +84,10 @@ class HProfile:
         if self.kind not in ("inverse_q_plus_one", "cutoff_sqrt", "samples"):
             raise InvalidInputError(f"unknown profile kind {self.kind!r}")
         if self.kind == "cutoff_sqrt":
-            if self.eps is None or self.L is None or not (0 < self.eps < self.L):
+            if self.eps is None or self.L is None:
+                raise InvalidInputError("cutoff_sqrt requires 0 < eps < L")
+            _require_finite(eps=self.eps, L=self.L)
+            if not 0 < self.eps < self.L:
                 raise InvalidInputError("cutoff_sqrt requires 0 < eps < L")
         if self.kind == "samples":
             if self.profile is None:
@@ -121,18 +130,28 @@ class HProfile:
         return ComplexProfile(grid, vals).normalized()
 
 
+def _inner_products(factors) -> list:
+    return [[fi.inner(fj) for fj in factors] for fi in factors]
+
+
 @dataclass(frozen=True, eq=False)
 class Axis:
     """One axis of a product-sum state: the position grid, the momentum
     grid and the carrier shared by its factors, the factor rows (K, N) on
     the position nodes, and their Fourier transforms (K, M) on the
     momentum nodes, formed on first use.  Both row arrays are read-only.
+
+    The axis also keeps, per instance, the K x K matrices that depend on
+    it alone: the Gram matrices of either side's rows (:meth:`gram`) and
+    the inner products of its factors (:attr:`inner_products`).  They
+    are formed on first use and freed with the axis.
     """
 
     grid: Grid1D
     p_grid: Grid1D
     carrier: float
     rows: np.ndarray
+    _grams: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         self.rows.setflags(write=False)
@@ -151,6 +170,32 @@ class Axis:
         rows = transform_rows(self.rows, self.grid, self.carrier, self.p_grid)
         rows.setflags(write=False)
         return rows
+
+    def rows_on(self, side: str) -> Tuple[Grid1D, np.ndarray]:
+        """(grid, rows) of one side: ``"q"`` the position rows on
+        ``grid``, ``"p"`` the momentum rows on ``p_grid``."""
+        if side == "q":
+            return self.grid, self.rows
+        if side == "p":
+            return self.p_grid, self.p_rows
+        raise InvalidInputError(f"axis side must be 'q' or 'p', got {side!r}")
+
+    def gram(self, side: str, region: Optional[Region] = None) -> np.ndarray:
+        """The read-only Gram matrix (:func:`~phaselab.marginal.node_gram`)
+        of one side's rows, signed by ``region`` when one is given."""
+        key = (side, region)
+        if key not in self._grams:
+            grid, rows = self.rows_on(side)
+            gram = node_gram(rows, grid, region)
+            gram.setflags(write=False)
+            self._grams[key] = gram
+        return self._grams[key]
+
+    @functools.cached_property
+    def inner_products(self) -> list:
+        """K x K nested list of :meth:`ComplexProfile.inner` between the
+        axis's factors."""
+        return _inner_products([self.factor(k) for k in range(len(self.rows))])
 
 
 @dataclass(frozen=True)
@@ -404,12 +449,16 @@ class WaveFunction2:
         return self.terms[0].factor2.grid
 
     def norm_sq(self) -> float:
+        if self._axes is not None:
+            ip1, ip2 = (axis.inner_products for axis in self._axes)
+        else:
+            ip1 = _inner_products([t.factor1 for t in self.terms])
+            ip2 = _inner_products([t.factor2 for t in self.terms])
         val = 0.0
-        for ti in self.terms:
-            for tj in self.terms:
+        for i, ti in enumerate(self.terms):
+            for j, tj in enumerate(self.terms):
                 val += (np.conj(ti.coefficient) * tj.coefficient
-                        * ti.factor1.inner(tj.factor1)
-                        * ti.factor2.inner(tj.factor2)).real
+                        * ip1[i][j] * ip2[i][j]).real
         return float(val)
 
     def position_density(self) -> np.ndarray:
@@ -430,6 +479,7 @@ class ViolationParams:
     sign: int = +1
 
     def __post_init__(self):
+        _require_finite(rho=self.rho, theta=self.theta, shift=self.shift, boost=self.boost)
         if self.rho < 0:
             raise InvalidInputError("rho must be nonnegative")
         if self.sign not in (+1, -1):

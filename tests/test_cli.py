@@ -109,6 +109,31 @@ class TestNodeTarget:
         assert run(command + ["--n", "60", "--out", str(tmp_path / "out")]) == 0
 
 
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("option, value, field", [
+        ("--L", "inf", "L"), ("--eps", "nan", "eps"), ("--a", "nan", "shift"),
+        ("--boost", "inf", "boost"),
+    ])
+    def test_violate_scan(self, option, value, field, capsys):
+        assert run(["violate", "scan", "--preset", "coarse", option, value]) == 1
+        assert f"error: {field} must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("option, value", [
+        ("--rho-grid", "nan:2:3"), ("--rho-grid", "0:inf:3"), ("--theta-grid", "-inf:1:2"),
+    ])
+    def test_violate_scan_grid_ends(self, option, value, capsys):
+        assert run(["violate", "scan", "--preset", "coarse", option, value]) == 1
+        assert f"grid spec ends must be finite, got '{value}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("option, value, field", [
+        ("--rho", "nan", "rho"), ("--theta", "inf", "theta"), ("--a", "-inf", "shift"),
+        ("--boost", "nan", "boost"), ("--L", "inf", "L"), ("--eps", "nan", "eps"),
+    ])
+    def test_quartet_from_psi(self, option, value, field, capsys):
+        assert run(["quartet", "from-psi", "--preset", "coarse", option, value]) == 1
+        assert f"error: {field} must be finite" in capsys.readouterr().err
+
+
 def _scan_rows(text):
     return list(csv.reader(text.splitlines()))
 

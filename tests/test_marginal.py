@@ -1,13 +1,15 @@
+import gc
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phaselab import quad
-from phaselab.bell import bell_sum
+from phaselab import marginal, quad, quantum
+from phaselab.bell import Region, bell_sum, bell_terms
 from phaselab.cli import _emit, run
 from phaselab.errors import InvalidInputError
 from phaselab.marginal import (
@@ -320,6 +322,36 @@ def _dense_route(psi):
     return QuartetProblem(*planes)
 
 
+def _per_point_reference(psi, w):
+    """norm^2, the four raw plane masses and the four signed Bell terms of
+    a two-axis state, by the formulas evaluated afresh at every point:
+    Gram matrices ``(u.conj() * w) @ u.T``, the form ``c^H (A o B) c``
+    and the double loop of ``inner`` products."""
+    c = np.array([t.coefficient for t in psi.terms])
+    ax1, ax2 = psi.axes
+    norm = 0.0
+    for ti in psi.terms:
+        for tj in psi.terms:
+            norm += (np.conj(ti.coefficient) * tj.coefficient
+                     * ti.factor1.inner(tj.factor1) * ti.factor2.inner(tj.factor2)).real
+
+    def form(side1, side2, reg1=None, reg2=None):
+        grams = []
+        for (grid, u), reg in ((side1, reg1), (side2, reg2)):
+            weights = grid.weights if reg is None else reg.sign(grid.nodes) * grid.weights
+            grams.append((u.conj() * weights) @ u.T)
+        return float((c.conj() @ (grams[0] * grams[1]) @ c).real)
+
+    q1, p1 = (ax1.grid, ax1.rows), (ax1.p_grid, ax1.p_rows)
+    q2, p2 = (ax2.grid, ax2.rows), (ax2.p_grid, ax2.p_rows)
+    planes = {"R": (q1, q2, w.S1, w.S2), "S": (q1, p2, w.S1, w.S2p),
+              "T": (p1, q2, w.S1p, w.S2), "U": (p1, p2, w.S1p, w.S2p)}
+    raw = [form(a, b) for a, b, _, _ in planes.values()]
+    terms = {k: form(a, b, ra, rb) / m for (k, (a, b, ra, rb)), m in zip(planes.items(), raw)}
+    terms["U"] = -terms["U"]
+    return float(norm), raw, terms
+
+
 PROFILES = [HProfile.cutoff_sqrt(1e-2, 1e2), HProfile.inverse_q_plus_one()]
 
 
@@ -370,6 +402,58 @@ class TestProductSumRoute:
         quartet.U.values
         assert formed == [quartet.U.amplitude]
 
+    def test_new_point_is_only_k_by_k_algebra(self, monkeypatch):
+        h = HProfile.cutoff_sqrt(1e-6, 1e6)
+        first = ViolationParams(h=h, rho=0.8, theta=-1.1)
+        bell_sum(quantum_marginals(build_psi(first, n_target=256)), canonical_witness(first))
+        grams, inners = [], []
+        gram, inner = marginal.node_gram, ComplexProfile.inner
+        for module in (marginal, quantum):
+            monkeypatch.setattr(module, "node_gram",
+                                lambda *a: grams.append(a) or gram(*a))
+        monkeypatch.setattr(ComplexProfile, "inner",
+                            lambda self, other: inners.append(self) or inner(self, other))
+        params = ViolationParams(h=h, rho=1.7, theta=2.0)
+        tracemalloc.start()
+        try:
+            psi = build_psi(params, n_target=256)
+            bell_sum(quantum_marginals(psi), canonical_witness(params))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert grams == [] and inners == []
+        assert peak < 16 * len(psi.p1_grid)
+
+    @pytest.mark.parametrize("h", PROFILES)
+    def test_memoised_sums_equal_the_per_point_formulas(self, h):
+        lattice = [(0.6, -1.0, 0.3, -0.2), (1.4, 2.2, 0.3, -0.2), (1.0, 0.5, 0.0, 0.0),
+                   (0.6, -1.0, 0.3, -0.2), (2.0, 0.1, 0.0, 0.0)]
+        for rho, theta, shift, boost in lattice:
+            params = ViolationParams(h=h, rho=rho, theta=theta, shift=shift, boost=boost)
+            psi = build_psi(params, n_target=64)
+            w = canonical_witness(params)
+            quartet = quantum_marginals(psi)
+            want_norm, want_raw, want_terms = _per_point_reference(psi, w)
+            assert psi.norm_sq() == want_norm
+            planes = _planes_of(quartet)
+            assert [m.amplitude.signed_form(m.grid1, m.grid2) for m in planes] == want_raw
+            assert [m.mass() for m in planes] == [raw / raw for raw in want_raw]
+            assert bell_terms(quartet, w) == want_terms
+            assert bell_sum(quartet, w) == float(sum(want_terms.values()))
+
+    def test_memo_dies_with_its_axis(self):
+        GridPlan.axis.cache_clear()
+        params = ViolationParams(h=HProfile.cutoff_sqrt(1e-2, 1e2), shift=0.3, boost=0.2)
+        psi = build_psi(params, n_target=64)
+        quartet = quantum_marginals(psi)
+        bell_sum(quartet, canonical_witness(params))
+        refs = [weakref.ref(axis) for axis in psi.axes]
+        assert all(ref()._grams for ref in refs)
+        GridPlan.axis.cache_clear()
+        del psi, quartet
+        gc.collect()
+        assert [ref() for ref in refs] == [None, None]
+
     def test_from_psi_output_matches_dense_route(self, tmp_path):
         out, ref = tmp_path / "from_psi.json", tmp_path / "dense.json"
         assert run(["quartet", "from-psi", "--eps", "1e-2", "--L", "1e2",
@@ -384,11 +468,17 @@ class TestProductSumRoute:
 
     def test_gram_form_of_a_random_product_sum(self):
         rng = np.random.default_rng(7)
+        ga = build_panels([-2.0, 0.5, 3.0], order=4, subdiv=5)
+        gb = build_panels([-1.0, 1.0], order=5, subdiv=6)
         ps = ProductSum(rng.normal(size=3) + 1j * rng.normal(size=3),
                         rng.normal(size=(3, 40)) + 1j * rng.normal(size=(3, 40)),
                         rng.normal(size=(3, 30)) + 1j * rng.normal(size=(3, 30)))
-        wa, wb = rng.normal(size=40), rng.normal(size=30)
-        assert ps.form(wa, wb) == pytest.approx(wa @ ps.density() @ wb, rel=1e-12)
+        ra, rb = Region.of((-1.0, 0.2), (1.5, 2.5)), Region.half_line(0.3)
+        wa, wb = ra.sign(ga.nodes) * ga.weights, rb.sign(gb.nodes) * gb.weights
+        assert ps.signed_form(ga, gb, ra, rb) == pytest.approx(wa @ ps.density() @ wb,
+                                                             rel=1e-12)
+        assert ps.signed_form(ga, gb) == pytest.approx(ga.weights @ ps.density() @ gb.weights,
+                                                       rel=1e-12)
 
     def test_rejects_a_massless_or_mismatched_product_sum(self):
         g = build_panels([-1.0, 1.0], order=4, subdiv=2)
