@@ -25,7 +25,6 @@ from .marginal import (
 from .quad import ComplexProfile, build_panels
 from .quantum import (
     HProfile,
-    Term,
     ViolationParams,
     WaveFunction2,
     build_psi,
@@ -277,7 +276,7 @@ def criterion_9() -> CriterionResult:
         return Region.of((lo, hi + 0.1))
 
     for _ in range(100):
-        psi = WaveFunction2([Term(1.0, profile(), profile())], p1_grid=g, p2_grid=g)
+        psi = WaveFunction2.from_factors([1.0], [profile()], [profile()], g, g)
         witness = BellWitness(region(), region(), region(), region())
         quartet = quantum_marginals(psi)
         b = bell_sum(quartet, witness)

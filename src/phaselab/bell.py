@@ -37,12 +37,12 @@ class Region:
     intervals: tuple
 
     def __post_init__(self):
-        iv = tuple((float(lo), float(hi)) for lo, hi in self.intervals)
+        iv = tuple([(float(lo), float(hi)) for lo, hi in self.intervals])
         object.__setattr__(self, "intervals", iv)
         for lo, hi in iv:
             if not lo < hi:
                 raise InvalidInputError("interval endpoints must satisfy lo < hi")
-        for (_, hi), (lo, _) in zip(iv[:-1], iv[1:]):
+        for (_, hi), (lo, _) in zip(iv, iv[1:]):
             if lo < hi:
                 raise InvalidInputError("intervals must be sorted and disjoint")
 
@@ -127,22 +127,18 @@ def _plane_term(m: Marginal2D, reg_a: Region, reg_b: Region, negate: bool) -> fl
 
 
 def _check_coverage(quartet: QuartetProblem, w: BellWitness):
-    axes = {
-        "q1": ([w.S1], [(quartet.R, 1), (quartet.S, 1)]),
-        "q2": ([w.S2], [(quartet.R, 2), (quartet.T, 2)]),
-        "p1": ([w.S1p], [(quartet.T, 1), (quartet.U, 1)]),
-        "p2": ([w.S2p], [(quartet.S, 2), (quartet.U, 2)]),
-    }
-    for name, (regions, places) in axes.items():
-        endpoints = [e for r in regions for e in r.finite_endpoints()]
+    for name, region, places in (("q1", w.S1, ((quartet.R, 1), (quartet.S, 1))),
+                                 ("q2", w.S2, ((quartet.R, 2), (quartet.T, 2))),
+                                 ("p1", w.S1p, ((quartet.T, 1), (quartet.U, 1))),
+                                 ("p2", w.S2p, ((quartet.S, 2), (quartet.U, 2)))):
+        endpoints = region.finite_endpoints()
         if not endpoints:
             continue
         for m, axis in places:
             if m.is_gridded:
                 grid = m.grid1 if axis == 1 else m.grid2
-                lo, hi = grid.span
-                if grid.panel_edges is not None:
-                    lo, hi = grid.panel_edges[0], grid.panel_edges[-1]
+                edges = grid.panel_edges
+                lo, hi = grid.span if edges is None else (edges[0], edges[-1])
             else:
                 col = m.atoms[:, 0] if axis == 1 else m.atoms[:, 1]
                 lo, hi = col.min() - 1.0, col.max() + 1.0

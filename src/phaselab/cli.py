@@ -267,8 +267,9 @@ def kop_spectrum(window, n, out):
 @click.option("--out", type=click.Path(), default=None)
 def kop_gamma(eps, big_l, out):
     """Closed form vs quadrature for the two-cutoff profile."""
+    h = HProfile.cutoff_sqrt(eps, big_l)
     closed = gamma_cutoff_closed_form(eps, big_l)
-    quadrature = gamma(HProfile.cutoff_sqrt(eps, big_l))
+    quadrature = gamma(h)
     _emit({"eps": eps, "L": big_l, "closed_form": closed,
            "quadrature": quadrature, "defect": abs(closed - quadrature)}, out)
 

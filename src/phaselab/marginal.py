@@ -8,7 +8,7 @@ carries: QQ = (q1, q2), QP = (q1, p2), PQ = (p1, q2), PP = (p1, p2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Optional
 
@@ -63,7 +63,6 @@ def node_gram(rows: np.ndarray, grid: Grid1D, region=None) -> np.ndarray:
     return (rows.conj() * _signed_weights(grid, region)) @ rows.T
 
 
-@dataclass(frozen=True)
 class ProductSum:
     """Product-sum amplitude ``sum_k coef[k] * u[k](x) * v[k](y)`` on the
     nodes of two axis grids, kept as its coefficients (K,) and its axis-1
@@ -73,37 +72,28 @@ class ProductSum:
     ``|sum_k c_k u_k (x) v_k|^2`` is formed; :meth:`signed_form`
     integrates it against region-signed quadrature weights without
     forming it.  ``sources``, set by :meth:`of_axes`, records the
-    :class:`~phaselab.quantum.Axis` and side (``"q"`` or ``"p"``) that u
-    and v come from, so their Gram matrices come from the axis's memo.
+    :class:`~phaselab.quantum.Axis`, side (``"q"`` or ``"p"``) and grid
+    that u and v come from, so their Gram matrices come from the axis's
+    memo.
     """
 
-    coef: np.ndarray
-    u: np.ndarray
-    v: np.ndarray
-    sources: Optional[tuple] = field(default=None, compare=False, repr=False)
-
-    def __post_init__(self):
-        coef, u, v = np.asarray(self.coef), np.asarray(self.u), np.asarray(self.v)
+    def __init__(self, coef, u, v, sources: Optional[tuple] = None):
+        coef, u, v = np.asarray(coef), np.asarray(u), np.asarray(v)
         if coef.ndim != 1 or u.ndim != 2 or v.ndim != 2 or not (
                 coef.shape[0] == u.shape[0] == v.shape[0] > 0):
             raise InvalidInputError("product sum needs coef (K,), u (K, N1), v (K, N2)")
-        object.__setattr__(self, "coef", coef)
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "v", v)
+        vars(self).update(coef=coef, u=u, v=v, sources=sources)
 
-    @classmethod
-    def from_terms(cls, terms) -> "ProductSum":
-        """Position-space amplitude of terms with ``coefficient``,
-        ``factor1`` and ``factor2`` (profiles on shared per-axis grids)."""
-        return cls(np.array([t.coefficient for t in terms]),
-                   np.stack([t.factor1.values for t in terms]),
-                   np.stack([t.factor2.values for t in terms]))
+    def __setattr__(self, name, value):
+        raise AttributeError("ProductSum is immutable")
 
     @classmethod
     def of_axes(cls, coef, source1, source2) -> "ProductSum":
         """Amplitude on the rows of two ``(axis, side)`` sources."""
         (axis1, side1), (axis2, side2) = source1, source2
-        return cls(coef, axis1.rows_on(side1)[1], axis2.rows_on(side2)[1], (source1, source2))
+        grid1, u = axis1.rows_on(side1)
+        grid2, v = axis2.rows_on(side2)
+        return cls(coef, u, v, ((axis1, side1, grid1), (axis2, side2, grid2)))
 
     def density(self) -> np.ndarray:
         amp = np.einsum("k,ki,kj->ij", self.coef, self.u, self.v, optimize=True)
@@ -111,8 +101,8 @@ class ProductSum:
 
     def _gram(self, which: int, grid: Grid1D, region) -> np.ndarray:
         if self.sources is not None:
-            axis, side = self.sources[which]
-            if axis.rows_on(side)[0].same_as(grid):
+            axis, side, own_grid = self.sources[which]
+            if own_grid is grid or own_grid.same_as(grid):
                 return axis.gram(side, region)
         return node_gram(self.v if which else self.u, grid, region)
 
@@ -142,12 +132,10 @@ class Marginal2D:
     def __init__(self, plane: PlaneLabel, grid1: Optional[Grid1D] = None,
                  grid2: Optional[Grid1D] = None, values=None, atoms=None,
                  amplitude: Optional[ProductSum] = None):
-        if sum(x is not None for x in (values, atoms, amplitude)) != 1:
+        if (values is not None) + (atoms is not None) + (amplitude is not None) != 1:
             raise InvalidInputError("marginal must be dense, product-sum or atomic")
-        for name, val in (("plane", plane), ("grid1", grid1), ("grid2", grid2),
-                          ("atoms", atoms), ("amplitude", amplitude),
-                          ("_values", None), ("_raw_mass", None)):
-            object.__setattr__(self, name, val)
+        vars(self).update(plane=plane, grid1=grid1, grid2=grid2, atoms=atoms,
+                          amplitude=amplitude, _values=None, _raw_mass=None)
         if atoms is not None:
             atoms = np.asarray(atoms, dtype=float)
             object.__setattr__(self, "atoms", atoms)
@@ -442,7 +430,7 @@ def quantum_marginals(psi: "WaveFunction2") -> QuartetProblem:
     R is the position density |psi|^2; S, T, U replace one or both axes
     by the partial Fourier transform, applied factor by factor.  Each
     plane is returned in product-sum form (a :class:`ProductSum` of the
-    term coefficients and the position or transformed factor rows) and is
+    state's coefficients and the position or transformed factor rows) and is
     normalized onto its grids, so the raw quadrature masses (and the
     transform-mass defect they carry) are divided away and not returned.
     No N1 x N2 density is formed until a caller reads a plane's
@@ -459,14 +447,14 @@ def quantum_marginals(psi: "WaveFunction2") -> QuartetProblem:
             f"state norm^2 = {nrm!r} deviates from 1 beyond {STATE_NORM_TOL}")
 
     ax1, ax2 = psi.axes
-    c = np.array([t.coefficient for t in psi.terms])
 
-    def plane(label: PlaneLabel) -> Marginal2D:
-        side1, side2 = (var[0] for var in label.axis_vars)
-        return Marginal2D(label, ax1.rows_on(side1)[0], ax2.rows_on(side2)[0],
-                          amplitude=ProductSum.of_axes(c, (ax1, side1), (ax2, side2)))
+    def plane(label: PlaneLabel, side1: str, side2: str) -> Marginal2D:
+        amplitude = ProductSum.of_axes(psi.coef, (ax1, side1), (ax2, side2))
+        (_, _, grid1), (_, _, grid2) = amplitude.sources
+        return Marginal2D(label, grid1, grid2, amplitude=amplitude)
 
-    return QuartetProblem(*(plane(label) for label in PlaneLabel))
+    return QuartetProblem(plane(PlaneLabel.QQ, "q", "q"), plane(PlaneLabel.QP, "q", "p"),
+                          plane(PlaneLabel.PQ, "p", "q"), plane(PlaneLabel.PP, "p", "p"))
 
 
 def counterexample_quartet(a1, a2, a1p, a2p, b1, b2, b1p, b2p) -> QuartetProblem:

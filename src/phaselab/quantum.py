@@ -42,7 +42,6 @@ __all__ = [
     "Axis",
     "ViolationParams",
     "WaveFunction2",
-    "Term",
     "build_fg",
     "chi_expectation",
     "gamma",
@@ -89,6 +88,9 @@ class HProfile:
             _require_finite(eps=self.eps, L=self.L)
             if not 0 < self.eps < self.L:
                 raise InvalidInputError("cutoff_sqrt requires 0 < eps < L")
+            if not math.isfinite(self.L / self.eps):
+                raise InvalidInputError(
+                    f"cutoff ratio L/eps overflows for eps={self.eps!r}, L={self.L!r}")
         if self.kind == "samples":
             if self.profile is None:
                 raise InvalidInputError("samples kind requires a profile")
@@ -130,10 +132,6 @@ class HProfile:
         return ComplexProfile(grid, vals).normalized()
 
 
-def _inner_products(factors) -> list:
-    return [[fi.inner(fj) for fj in factors] for fi in factors]
-
-
 @dataclass(frozen=True, eq=False)
 class Axis:
     """One axis of a product-sum state: the position grid, the momentum
@@ -158,9 +156,16 @@ class Axis:
 
     @classmethod
     def from_factors(cls, factors, p_grid: Grid1D) -> "Axis":
-        """The axis of profiles on one grid with one carrier."""
-        return cls(factors[0].grid, p_grid, factors[0].carrier,
-                   np.stack([f.values for f in factors]))
+        """The axis of profiles that share one grid and one carrier."""
+        if not factors:
+            raise InvalidInputError("an axis needs at least one factor")
+        first = factors[0]
+        for f in factors[1:]:
+            if not f.grid.same_as(first.grid):
+                raise InvalidInputError("all factors of an axis must share one grid")
+            if f.carrier != first.carrier:
+                raise InvalidInputError("all factors of an axis must share one carrier")
+        return cls(first.grid, p_grid, first.carrier, np.stack([f.values for f in factors]))
 
     def factor(self, k: int) -> ComplexProfile:
         return ComplexProfile(self.grid, self.rows[k], self.carrier)
@@ -182,20 +187,24 @@ class Axis:
 
     def gram(self, side: str, region: Optional[Region] = None) -> np.ndarray:
         """The read-only Gram matrix (:func:`~phaselab.marginal.node_gram`)
-        of one side's rows, signed by ``region`` when one is given."""
-        key = (side, region)
-        if key not in self._grams:
+        of one side's rows, signed by ``region`` when one is given.  The
+        memo is keyed by the region's intervals, which hash and compare
+        without a Python call."""
+        key = (side, None if region is None else region.intervals)
+        gram = self._grams.get(key)
+        if gram is None:
             grid, rows = self.rows_on(side)
             gram = node_gram(rows, grid, region)
             gram.setflags(write=False)
             self._grams[key] = gram
-        return self._grams[key]
+        return gram
 
     @functools.cached_property
     def inner_products(self) -> list:
         """K x K nested list of :meth:`ComplexProfile.inner` between the
         axis's factors."""
-        return _inner_products([self.factor(k) for k in range(len(self.rows))])
+        factors = [self.factor(k) for k in range(len(self.rows))]
+        return [[fi.inner(fj) for fj in factors] for fi in factors]
 
 
 @dataclass(frozen=True)
@@ -387,82 +396,67 @@ def chi_prime_cross(f: ComplexProfile) -> complex:
     return complex(-1j / np.pi * plus)
 
 
-@dataclass(frozen=True)
-class Term:
-    coefficient: complex
-    factor1: ComplexProfile
-    factor2: ComplexProfile
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WaveFunction2:
-    """Two-particle state as a weighted sum of product terms.
-
-    All first factors share one grid and carrier, and all second factors
-    another.  ``p1_grid``/``p2_grid`` are the momentum grids of the two
-    axes; :func:`~phaselab.marginal.quantum_marginals` needs both.
+    """Two-particle state ``sum_k coef[k] * axis1 row k (x) axis2 row k``:
+    a complex coefficient vector (K,) and two :class:`Axis` objects of K
+    factor rows each, which carry the position and momentum grids.  The
+    norm (:meth:`norm_sq`) is formed once, at construction, from the
+    axes' inner products.
     """
 
-    terms: list
-    p1_grid: Optional[Grid1D] = None
-    p2_grid: Optional[Grid1D] = None
-    _axes: Optional[Tuple[Axis, Axis]] = field(default=None, init=False, repr=False,
-                                               compare=False)
+    coef: np.ndarray
+    axis1: Axis
+    axis2: Axis
+    _norm_sq: float = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not self.terms:
-            raise InvalidInputError("state needs at least one term")
-        first = self.terms[0]
-        for t in self.terms[1:]:
-            if not (t.factor1.grid.same_as(first.factor1.grid)
-                    and t.factor2.grid.same_as(first.factor2.grid)):
-                raise InvalidInputError("all terms must share the two factor grids")
-            if (t.factor1.carrier != first.factor1.carrier
-                    or t.factor2.carrier != first.factor2.carrier):
-                raise InvalidInputError("all terms must share the per-axis carriers")
+        coef = np.asarray(self.coef, dtype=complex)
+        if coef.ndim != 1 or not 0 < len(coef) == len(self.axis1.rows) == len(self.axis2.rows):
+            raise InvalidInputError("state needs one coefficient per factor row of each axis")
+        ip1, ip2 = self.axis1.inner_products, self.axis2.inner_products
+        val = 0.0
+        for i in range(len(coef)):
+            for j in range(len(coef)):
+                val += (np.conj(coef[i]) * coef[j] * ip1[i][j] * ip2[i][j]).real
+        object.__setattr__(self, "coef", coef)
+        object.__setattr__(self, "_norm_sq", float(val))
 
     @classmethod
-    def from_axes(cls, coefficients, axis1: Axis, axis2: Axis) -> "WaveFunction2":
-        """The state sum_k coefficients[k] * axis1 row k (x) axis2 row k."""
-        state = cls([Term(c, axis1.factor(k), axis2.factor(k))
-                     for k, c in enumerate(coefficients)], axis1.p_grid, axis2.p_grid)
-        object.__setattr__(state, "_axes", (axis1, axis2))
-        return state
+    def from_factors(cls, coef, factors1, factors2, p1_grid: Grid1D,
+                     p2_grid: Grid1D) -> "WaveFunction2":
+        """The state ``sum_k coef[k] * factors1[k] (x) factors2[k]`` with
+        momentum grids ``p1_grid`` and ``p2_grid`` for its two axes."""
+        if p1_grid is None or p2_grid is None:
+            raise InvalidInputError("state needs p1_grid and p2_grid for its momentum axes")
+        return cls(coef, Axis.from_factors(factors1, p1_grid),
+                   Axis.from_factors(factors2, p2_grid))
 
     @property
     def axes(self) -> Tuple[Axis, Axis]:
-        """The two axes with their factor rows; a state not made by
-        :meth:`from_axes` forms them from its terms."""
-        if self._axes is not None:
-            return self._axes
-        if self.p1_grid is None or self.p2_grid is None:
-            raise InvalidInputError("state needs p1_grid and p2_grid for its momentum axes")
-        return (Axis.from_factors([t.factor1 for t in self.terms], self.p1_grid),
-                Axis.from_factors([t.factor2 for t in self.terms], self.p2_grid))
+        return self.axis1, self.axis2
 
     @property
     def grid1(self) -> Grid1D:
-        return self.terms[0].factor1.grid
+        return self.axis1.grid
 
     @property
     def grid2(self) -> Grid1D:
-        return self.terms[0].factor2.grid
+        return self.axis2.grid
+
+    @property
+    def p1_grid(self) -> Grid1D:
+        return self.axis1.p_grid
+
+    @property
+    def p2_grid(self) -> Grid1D:
+        return self.axis2.p_grid
 
     def norm_sq(self) -> float:
-        if self._axes is not None:
-            ip1, ip2 = (axis.inner_products for axis in self._axes)
-        else:
-            ip1 = _inner_products([t.factor1 for t in self.terms])
-            ip2 = _inner_products([t.factor2 for t in self.terms])
-        val = 0.0
-        for i, ti in enumerate(self.terms):
-            for j, tj in enumerate(self.terms):
-                val += (np.conj(ti.coefficient) * tj.coefficient
-                        * ip1[i][j] * ip2[i][j]).real
-        return float(val)
+        return self._norm_sq
 
     def position_density(self) -> np.ndarray:
-        return ProductSum.from_terms(self.terms).density()
+        return ProductSum(self.coef, self.axis1.rows, self.axis2.rows).density()
 
 
 @dataclass(frozen=True)
@@ -510,12 +504,11 @@ def build_psi(params: ViolationParams, n_target: int = 512) -> WaveFunction2:
     axis2 = plan.axis(n_target, params.shift, params.boost)
     lam = params.lam
     denom = math.sqrt(1.0 + abs(lam) ** 2)
-    coef = [1.0 / denom, lam / denom]
-    n = WaveFunction2.from_axes(coef, axis1, axis2).norm_sq()
+    psi = WaveFunction2(np.array([1.0 / denom, lam / denom]), axis1, axis2)
+    n = psi.norm_sq()
     if abs(n - 1.0) > 1e-12:
-        scale = 1.0 / math.sqrt(n)
-        coef = [c * scale for c in coef]
-    return WaveFunction2.from_axes(coef, axis1, axis2)
+        psi = WaveFunction2(psi.coef * (1.0 / math.sqrt(n)), axis1, axis2)
+    return psi
 
 
 def _witness_matches(params: ViolationParams, witness: BellWitness) -> bool:

@@ -13,7 +13,7 @@ from phaselab.bell import (
 from phaselab.errors import InvalidInputError
 from phaselab.marginal import Marginal2D, QuartetProblem, counterexample_quartet
 from phaselab.quad import ComplexProfile, build_panels
-from phaselab.quantum import Term, WaveFunction2
+from phaselab.quantum import WaveFunction2
 from phaselab.marginal import quantum_marginals
 
 
@@ -31,9 +31,8 @@ def random_gaussian_state(rng):
         vals = np.exp(-((g.nodes - mu) ** 2) / (2 * s * s)) * np.exp(1j * b * g.nodes)
         return ComplexProfile(g, vals).normalized()
 
-    state = WaveFunction2([Term(1.0, prof(mus[0], sigmas[0], boosts[0]),
-                                prof(mus[1], sigmas[1], boosts[1]))],
-                          p1_grid=g, p2_grid=g)
+    state = WaveFunction2.from_factors([1.0], [prof(mus[0], sigmas[0], boosts[0])],
+                                       [prof(mus[1], sigmas[1], boosts[1])], g, g)
     return state
 
 

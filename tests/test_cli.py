@@ -133,6 +133,19 @@ class TestNonFiniteInput:
         assert run(["quartet", "from-psi", "--preset", "coarse", option, value]) == 1
         assert f"error: {field} must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("option, value, field", [("--eps", "nan", "eps"),
+                                                      ("--L", "inf", "L")])
+    def test_kop_gamma(self, option, value, field, capsys):
+        assert run(["kop", "gamma", "--eps", "1e-2", "--L", "1e2", option, value]) == 1
+        assert f"error: {field} must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["violate", "scan", "--preset", "coarse"],
+                                         ["quartet", "from-psi", "--preset", "coarse"],
+                                         ["kop", "gamma"]])
+    def test_overflowing_cutoff_ratio(self, command, capsys):
+        assert run([*command, "--eps", "1e-300", "--L", "1e300"]) == 1
+        assert "L/eps overflows for eps=1e-300, L=1e+300" in capsys.readouterr().err
+
 
 def _scan_rows(text):
     return list(csv.reader(text.splitlines()))
@@ -226,6 +239,16 @@ class TestQuartetReconstructDemo:
         assert run(["reconstruct", "--triplet", str(artifacts["triplet"]),
                     "--out", str(tmp_path / "rec.json")]) == 0
         assert len(calls) == 5 and len(set(map(id, calls))) == 5
+
+    def test_demo_rejects_a_negative_density_value(self, artifacts, tmp_path, capsys):
+        quartet = read_json(artifacts["quartet"])
+        values = np.asarray(quartet["R"]["values"])
+        values[np.unravel_index(np.argmin(values), values.shape)] = -1e-11
+        quartet["R"]["values"] = values.tolist()
+        bad = tmp_path / "negative.json"
+        bad.write_text(json.dumps(quartet))
+        assert run(["demo", "--quartet", str(bad), "--tol", "0.05"]) == 1
+        assert "nonnegative" in capsys.readouterr().err
 
     def test_demo_inconsistent_exit_code(self, artifacts):
         code = run(["demo", "--quartet", str(artifacts["quartet"]),

@@ -27,7 +27,6 @@ from phaselab.quad import ComplexProfile, build_panels, fourier_matrix
 from phaselab.quantum import (
     GridPlan,
     HProfile,
-    Term,
     ViolationParams,
     WaveFunction2,
     build_psi,
@@ -45,7 +44,7 @@ def gaussian_state(mu1=0.0, mu2=0.0, s1=1.0, s2=1.0):
     f1 = ComplexProfile(g, gaussian_vals(g.nodes, mu1, s1)).normalized()
     f2 = ComplexProfile(g, gaussian_vals(g.nodes, mu2, s2)).normalized()
     p = build_panels([-20.0, 0.0, 20.0], order=6, subdiv=18)
-    return WaveFunction2([Term(1.0, f1, f2)], p1_grid=p, p2_grid=p)
+    return WaveFunction2.from_factors([1.0], [f1], [f2], p, p)
 
 
 class TestCounterexample:
@@ -126,6 +125,15 @@ class TestOneVarMarginal:
             one_var_marginal(q.R, 1)
 
 
+class TestDenseMarginal:
+    def test_rejects_a_value_below_the_negativity_tolerance(self):
+        g = build_panels([0.0, 1.0], order=4, subdiv=8)
+        vals = np.ones((len(g), len(g)))
+        vals[3, 5] = -1e-11
+        with pytest.raises(InvalidInputError, match="nonnegative"):
+            Marginal2D(PlaneLabel.QQ, g, g, vals)
+
+
 class TestQuantumMarginals:
     def test_factorized_gaussian_products(self):
         psi = gaussian_state(0.5, -0.3, 1.1, 0.7)
@@ -170,15 +178,15 @@ class TestQuantumMarginals:
     def test_rejects_unnormalized_state(self):
         g = build_panels([-20.0, 0.0, 20.0], order=6, subdiv=18)
         f = ComplexProfile(g, gaussian_vals(g.nodes))
-        bad = WaveFunction2([Term(2.0, f, f)])
+        bad = WaveFunction2.from_factors([2.0], [f], [f], g, g)
         with pytest.raises(InvalidInputError):
             quantum_marginals(bad)
 
     def test_rejects_state_without_momentum_grids(self):
         psi = gaussian_state()
-        bare = WaveFunction2(psi.terms)
         with pytest.raises(InvalidInputError, match="p1_grid"):
-            quantum_marginals(bare)
+            WaveFunction2.from_factors(psi.coef, [psi.axis1.factor(0)],
+                                       [psi.axis2.factor(0)], None, None)
 
 
 class TestRepresentationAgreement:
@@ -307,11 +315,9 @@ def _dense_route(psi):
     they stayed in product-sum form: each density is the sum of outer
     products c_k u_k (x) v_k of the position or transformed factor rows,
     squared and divided by its grid mass."""
-    c = np.array([t.coefficient for t in psi.terms])
-    a = np.stack([t.factor1.values for t in psi.terms])
-    b = np.stack([t.factor2.values for t in psi.terms])
-    at = quad.transform_rows(a, psi.grid1, psi.terms[0].factor1.carrier, psi.p1_grid)
-    bt = quad.transform_rows(b, psi.grid2, psi.terms[0].factor2.carrier, psi.p2_grid)
+    c, a, b = psi.coef, psi.axis1.rows, psi.axis2.rows
+    at = quad.transform_rows(a, psi.grid1, psi.axis1.carrier, psi.p1_grid)
+    bt = quad.transform_rows(b, psi.grid2, psi.axis2.carrier, psi.p2_grid)
     planes = []
     for label, g1, g2, u, v in ((PlaneLabel.QQ, psi.grid1, psi.grid2, a, b),
                                 (PlaneLabel.QP, psi.grid1, psi.p2_grid, a, bt),
@@ -327,13 +333,14 @@ def _per_point_reference(psi, w):
     a two-axis state, by the formulas evaluated afresh at every point:
     Gram matrices ``(u.conj() * w) @ u.T``, the form ``c^H (A o B) c``
     and the double loop of ``inner`` products."""
-    c = np.array([t.coefficient for t in psi.terms])
+    c = psi.coef
     ax1, ax2 = psi.axes
     norm = 0.0
-    for ti in psi.terms:
-        for tj in psi.terms:
-            norm += (np.conj(ti.coefficient) * tj.coefficient
-                     * ti.factor1.inner(tj.factor1) * ti.factor2.inner(tj.factor2)).real
+    for i in range(len(c)):
+        for j in range(len(c)):
+            norm += (np.conj(c[i]) * c[j]
+                     * ax1.factor(i).inner(ax1.factor(j))
+                     * ax2.factor(i).inner(ax2.factor(j))).real
 
     def form(side1, side2, reg1=None, reg2=None):
         grams = []
@@ -406,13 +413,17 @@ class TestProductSumRoute:
         h = HProfile.cutoff_sqrt(1e-6, 1e6)
         first = ViolationParams(h=h, rho=0.8, theta=-1.1)
         bell_sum(quantum_marginals(build_psi(first, n_target=256)), canonical_witness(first))
-        grams, inners = [], []
+        grams, inners, built = [], [], []
         gram, inner = marginal.node_gram, ComplexProfile.inner
         for module in (marginal, quantum):
             monkeypatch.setattr(module, "node_gram",
                                 lambda *a: grams.append(a) or gram(*a))
         monkeypatch.setattr(ComplexProfile, "inner",
                             lambda self, other: inners.append(self) or inner(self, other))
+        for cls in (ComplexProfile, quantum.Axis):
+            post_init = cls.__post_init__
+            monkeypatch.setattr(cls, "__post_init__",
+                                lambda self, f=post_init: built.append(self) or f(self))
         params = ViolationParams(h=h, rho=1.7, theta=2.0)
         tracemalloc.start()
         try:
@@ -421,7 +432,7 @@ class TestProductSumRoute:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert grams == [] and inners == []
+        assert grams == [] and inners == [] and built == []
         assert peak < 16 * len(psi.p1_grid)
 
     @pytest.mark.parametrize("h", PROFILES)

@@ -10,7 +10,6 @@ from phaselab.quad import ComplexProfile, build_panels, fourier, grid_from_edges
 from phaselab.quantum import (
     GridPlan,
     HProfile,
-    Term,
     ViolationParams,
     WaveFunction2,
     build_fg,
@@ -255,12 +254,12 @@ class TestClosedForm:
 class TestBuildPsi:
     def test_normalized_two_term_state(self):
         psi = build_psi(ViolationParams(h=HProfile.cutoff_sqrt(1e-2, 1e2)), n_target=128)
-        assert len(psi.terms) == 2
+        assert len(psi.coef) == 2
         assert psi.norm_sq() == pytest.approx(1.0, abs=1e-12)
 
     def test_lambda_zero_is_factorized(self):
         psi = build_psi(ViolationParams(h=INV1, rho=0.0), n_target=128)
-        coefs = sorted(abs(t.coefficient) for t in psi.terms)
+        coefs = sorted(abs(psi.coef))
         assert coefs[0] == pytest.approx(0.0, abs=1e-15)
         assert coefs[1] == pytest.approx(1.0, abs=1e-12)
 
@@ -274,6 +273,39 @@ class TestBuildPsi:
         assert mass_q2[outside].max(initial=0.0) < 1e-14
         com = np.sum(psi.grid2.weights * mass_q2 * q2)
         assert com == pytest.approx(3.0, abs=1e-6)
+
+
+class TestWaveFunction2:
+    def test_rejects_factors_that_do_not_form_two_axes(self):
+        g = build_panels([-4.0, 0.0, 4.0], order=4, subdiv=4)
+        other = build_panels([-5.0, 0.0, 5.0], order=4, subdiv=4)
+        f = ComplexProfile(g, np.exp(-g.nodes ** 2) + 0j)
+        cases = [(([], [f], g, g), "at least one factor"),
+                 (([f, ComplexProfile(other, f.values)], [f, f], g, g), "one grid"),
+                 (([f, f], [f, ComplexProfile(g, f.values, 0.5)], g, g), "one carrier")]
+        for (factors1, factors2, p1, p2), match in cases:
+            with pytest.raises(InvalidInputError, match=match):
+                WaveFunction2.from_factors([1.0] * len(factors2), factors1, factors2, p1, p2)
+        with pytest.raises(InvalidInputError, match="one coefficient per factor row"):
+            WaveFunction2.from_factors([1.0, 2.0], [f], [f], g, g)
+
+    def test_norm_matches_the_dense_density_of_non_orthogonal_factors(self):
+        # complex Gaussians with boosts: their inner products are complex,
+        # so a transposed inner-product matrix changes the real part
+        rng = np.random.default_rng(11)
+        g = build_panels([-12.0, 0.0, 12.0], order=6, subdiv=12)
+
+        def factor():
+            mu, s, b = rng.uniform(-1, 1), rng.uniform(0.7, 1.5), rng.uniform(-1, 1)
+            vals = np.exp(-((g.nodes - mu) ** 2) / (2 * s * s) + 1j * b * g.nodes)
+            return ComplexProfile(g, vals).normalized()
+
+        coef = rng.normal(size=3) + 1j * rng.normal(size=3)
+        pairs = [(factor(), factor()) for _ in coef]
+        psi = WaveFunction2.from_factors(coef, *zip(*pairs), g, g)
+        amp = np.einsum("k,ki,kj->ij", coef, psi.axis1.rows, psi.axis2.rows)
+        assert psi.norm_sq() == pytest.approx(g.weights @ np.abs(amp) ** 2 @ g.weights,
+                                              rel=0, abs=1e-12)
 
 
 class TestGridVsClosed:
@@ -327,7 +359,7 @@ class TestFactorizedProperty:
             mu, s, b = rng.uniform(-2, 2), rng.uniform(0.5, 2.0), rng.uniform(-2, 2)
             vals = np.exp(-((g.nodes - mu) ** 2) / (2 * s * s)) * np.exp(1j * b * g.nodes)
             f2 = ComplexProfile(g, vals).normalized()
-            psi = WaveFunction2([Term(1.0, f1, f2)], p1_grid=g, p2_grid=g)
+            psi = WaveFunction2.from_factors([1.0], [f1], [f2], g, g)
             lo, hi = np.sort(rng.uniform(-3, 3, size=2))
             w = BellWitness(Region.of((lo, hi + 0.2)), Region.half_line(rng.uniform(-1, 1)),
                             Region.of((lo - 1, hi)), Region.half_line(rng.uniform(-1, 1)))

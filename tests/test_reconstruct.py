@@ -320,11 +320,11 @@ class TestDemo:
 
     def test_factorized_quartet_demo(self):
         g = build_panels([-10.0, 0.0, 10.0], order=4, subdiv=6)
-        from phaselab.quantum import Term, WaveFunction2
+        from phaselab.quantum import WaveFunction2
         from phaselab.quad import ComplexProfile
         f1 = ComplexProfile(g, np.exp(-g.nodes**2 / 2) + 0j).normalized()
         f2 = ComplexProfile(g, np.exp(-(g.nodes - 0.4)**2 / 1.5) + 0j).normalized()
-        psi = WaveFunction2([Term(1.0, f1, f2)], p1_grid=g, p2_grid=g)
+        psi = WaveFunction2.from_factors([1.0], [f1], [f2], g, g)
         quartet = quantum_marginals(psi)
         demo = three_marginal_demo(quartet, tol=1e-6)
         assert demo["four_set"]["within_classical_bounds"]
